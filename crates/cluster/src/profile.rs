@@ -48,21 +48,9 @@ pub struct RequestProfile {
     pub layers: Vec<LayerProfile>,
     /// Total inference cycles (sum of layer cycles).
     pub cycles: u64,
-    /// Aggregate engine statistics with the cache-volatile counters
-    /// (`sim_cache_*`, `engine_invocations`) zeroed.
+    /// Aggregate engine statistics with the host counters zeroed
+    /// ([`SimStats::clear_host_counters`]).
     pub total: SimStats,
-}
-
-/// Zeroes the counters that depend on cache warmth rather than on the
-/// simulated work itself.
-fn strip_volatile(stats: &mut SimStats) {
-    stats.sim_cache_hits = 0;
-    stats.sim_cache_misses = 0;
-    stats.sim_cache_inserts = 0;
-    stats.engine_invocations = 0;
-    stats.tile_cache_hits = 0;
-    stats.tile_cache_misses = 0;
-    stats.tile_cache_assembled = 0;
 }
 
 /// Profiles one (instance, model) pair.
@@ -115,7 +103,9 @@ fn profile_one(
         })
         .collect();
     let mut total = run.total;
-    strip_volatile(&mut total);
+    // Cache warmth must not show: profiles are a pure function of the
+    // request.
+    total.clear_host_counters();
     Ok(RequestProfile {
         cycles: layers.iter().map(|l| l.cycles).sum(),
         layers,
@@ -137,11 +127,8 @@ pub fn build_profiles(
 ) -> Result<Vec<Vec<RequestProfile>>, String> {
     let instances = request.instances.len();
     let models = request.models.len();
-    // One tile-record context for the whole profiling phase: every
-    // (instance, model) pair reuses per-tile timing records across runs
-    // instead of rebuilding scratch state per pair. Records replay exact
-    // stats, and `strip_volatile` drops the hit/miss bookkeeping, so the
-    // profiles stay a pure function of the request.
+    // One context for the whole profiling phase: every (instance, model)
+    // pair reuses its scratch pool instead of re-growing one per pair.
     let context = SimContext::new();
     let flat: Vec<RequestProfile> = match mode {
         ExecMode::Serial => {

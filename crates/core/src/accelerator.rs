@@ -6,7 +6,7 @@ use crate::config::{AcceleratorConfig, ConfigError, ControllerKind, DnKind};
 use crate::context::SimContext;
 use crate::engine::flexible::{replay_dense, run_dense_ctx, DenseOperand};
 use crate::engine::sparse::{
-    dispatches_input_stationary, replay_spmm, run_spmm_ctx, NaturalOrder, RowSchedule, SparseRun,
+    dispatches_input_stationary, replay_spmm, run_spmm, NaturalOrder, RowSchedule, SparseRun,
 };
 use crate::engine::{conv_operand, pool, systolic};
 use crate::mapping::{LayerDims, Tile};
@@ -69,11 +69,11 @@ impl Stonne {
     }
 
     /// Threads a shared [`SimContext`] through the instance: engine
-    /// invocations consult its tile-grain record cache and reuse its
-    /// pooled scratch buffers. Clone one context across the instances of
-    /// a worker (or a whole sweep) so tile records and scratch survive
-    /// instance teardown. A fresh instance gets its own context, so this
-    /// is an opt-in sharing knob, not a behavior switch — results are
+    /// invocations reuse its pooled scratch buffers, and the flexible
+    /// engine follows its class-collapse switch. Clone one context across
+    /// the instances of a worker (or a whole sweep) so the grown buffers
+    /// survive instance teardown; no timing result travels with it. A
+    /// fresh instance gets its own context — results are
     /// bitwise-identical either way.
     #[must_use]
     pub fn with_context(mut self, context: SimContext) -> Self {
@@ -105,12 +105,6 @@ impl Stonne {
     /// across instances to share results between them.
     #[must_use]
     pub fn with_cache(mut self, cache: SimCache) -> Self {
-        // Tile records persist wherever layer entries do: a disk-backed
-        // layer cache transparently backs the tile cache too (first store
-        // wins if the context is already backed).
-        if let Some(store) = cache.disk_store() {
-            self.context.attach_store(store);
-        }
         self.cache = Some(cache);
         self
     }
@@ -211,7 +205,7 @@ impl Stonne {
             return (gemm_reference(a, b), stats);
         }
         let Some(cache) = self.cache.clone() else {
-            let (out, mut stats) = systolic::run_gemm_ctx(&self.config, name, a, b, &self.context);
+            let (out, mut stats) = systolic::run_gemm(&self.config, name, a, b);
             stats.engine_invocations = 1;
             return (out, stats);
         };
@@ -221,7 +215,7 @@ impl Stonne {
             Probe::new(Component::Controller).span("cache-hit", 0, stats.cycles);
             return (gemm_reference(a, b), stats);
         }
-        let (out, mut stats) = systolic::run_gemm_ctx(&self.config, name, a, b, &self.context);
+        let (out, mut stats) = systolic::run_gemm(&self.config, name, a, b);
         stats.engine_invocations = 1;
         stats.sim_cache_misses = 1;
         stats.sim_cache_inserts = 1;
@@ -303,7 +297,7 @@ impl Stonne {
             };
         }
         let Some(cache) = self.cache.clone() else {
-            let mut run = run_spmm_ctx(&self.config, name, a, b, schedule, &self.context);
+            let mut run = run_spmm(&self.config, name, a, b, schedule);
             run.stats.engine_invocations = 1;
             return run;
         };
@@ -318,7 +312,7 @@ impl Stonne {
                 input_stationary: entry.input_stationary(),
             };
         }
-        let mut run = run_spmm_ctx(&self.config, name, a, b, schedule, &self.context);
+        let mut run = run_spmm(&self.config, name, a, b, schedule);
         run.stats.engine_invocations = 1;
         run.stats.sim_cache_misses = 1;
         run.stats.sim_cache_inserts = 1;
@@ -346,8 +340,7 @@ impl Stonne {
             return (maxpool2d_reference(input, window, stride), stats);
         }
         let Some(cache) = self.cache.clone() else {
-            let (out, mut stats) =
-                pool::run_maxpool_ctx(&self.config, name, input, window, stride, &self.context);
+            let (out, mut stats) = pool::run_maxpool(&self.config, name, input, window, stride);
             stats.engine_invocations = 1;
             return (out, stats);
         };
@@ -357,8 +350,7 @@ impl Stonne {
             Probe::new(Component::Controller).span("cache-hit", 0, stats.cycles);
             return (maxpool2d_reference(input, window, stride), stats);
         }
-        let (out, mut stats) =
-            pool::run_maxpool_ctx(&self.config, name, input, window, stride, &self.context);
+        let (out, mut stats) = pool::run_maxpool(&self.config, name, input, window, stride);
         stats.engine_invocations = 1;
         stats.sim_cache_misses = 1;
         stats.sim_cache_inserts = 1;
@@ -429,9 +421,7 @@ impl Stonne {
                     // explore the tile space at predictor speed too.
                     predictor: self.predictor.clone(),
                     intra_workers: self.intra_workers,
-                    // Tile records are exploration-safe (keyed on geometry,
-                    // not operand values) and candidate tiles share width
-                    // classes — sharing the context speeds the search up.
+                    // Candidates reuse this instance's scratch buffers.
                     context: self.context.clone(),
                 };
                 let (_, stats) = probe.run_gemm_tiled("tile-search", a, b, &tile);
@@ -997,13 +987,7 @@ mod tests {
     /// Zeroes the cache bookkeeping so cached and uncached stats can be
     /// compared field-by-field.
     fn strip_cache_counters(mut s: SimStats) -> SimStats {
-        s.sim_cache_hits = 0;
-        s.sim_cache_misses = 0;
-        s.sim_cache_inserts = 0;
-        s.engine_invocations = 0;
-        s.tile_cache_hits = 0;
-        s.tile_cache_misses = 0;
-        s.tile_cache_assembled = 0;
+        s.clear_host_counters();
         s
     }
 
@@ -1040,33 +1024,6 @@ mod tests {
                 strip_cache_counters(ref_stats),
                 "{}: cached stats must match a fresh run",
                 cfg.name
-            );
-        }
-    }
-
-    #[test]
-    fn shared_context_replays_tiles_across_instances() {
-        let mut rng = SeededRng::new(31);
-        let a = Matrix::random(10, 20, &mut rng);
-        let b = Matrix::random(20, 6, &mut rng);
-        for cfg in presets() {
-            let name = cfg.name.clone();
-            let shared = SimContext::new();
-            let mut first = Stonne::new(cfg.clone())
-                .unwrap()
-                .with_context(shared.clone());
-            let (out1, s1) = first.run_gemm("g", &a, &b);
-            assert!(s1.tile_cache_misses > 0, "{name}: cold run derives records");
-            // A brand-new instance sharing the context replays every tile.
-            let mut second = Stonne::new(cfg.clone()).unwrap().with_context(shared);
-            let (out2, s2) = second.run_gemm("g", &a, &b);
-            assert_eq!(s2.tile_cache_misses, 0, "{name}: warm run derives nothing");
-            assert!(s2.tile_cache_hits > 0, "{name}");
-            assert_eq!(out1.as_slice(), out2.as_slice(), "{name}");
-            assert_eq!(
-                strip_cache_counters(s1),
-                strip_cache_counters(s2),
-                "{name}: tile replay is bitwise"
             );
         }
     }

@@ -127,7 +127,7 @@ fn hasher() -> DefaultHasher {
 /// non-pad address so identical access *patterns* at different base
 /// offsets (e.g. the per-group operands of a depthwise convolution) share
 /// an entry. Uniqueness/multicast structure is invariant under the shift.
-pub(crate) fn addrs_hash(addrs: &[u32]) -> u64 {
+fn addrs_hash(addrs: &[u32]) -> u64 {
     let base = addrs
         .iter()
         .copied()
@@ -147,7 +147,7 @@ pub(crate) fn addrs_hash(addrs: &[u32]) -> u64 {
 }
 
 /// Hashes the structure (not the values) of a CSR operand.
-pub(crate) fn csr_pattern_hash(a: &CsrMatrix) -> u64 {
+fn csr_pattern_hash(a: &CsrMatrix) -> u64 {
     let mut h = hasher();
     a.rows().hash(&mut h);
     a.cols().hash(&mut h);
@@ -278,15 +278,9 @@ impl CacheEntry {
             .to_owned();
         let mut stats = stats.clone();
         stats.operation.clear();
-        stats.sim_cache_hits = 0;
-        stats.sim_cache_misses = 0;
-        stats.sim_cache_inserts = 0;
-        stats.engine_invocations = 0;
-        // Tile-grain bookkeeping is per-run context state, not part of
-        // the memoized outcome: hits replay with clean counters.
-        stats.tile_cache_hits = 0;
-        stats.tile_cache_misses = 0;
-        stats.tile_cache_assembled = 0;
+        // How the result was obtained is per-run state, not part of the
+        // memoized outcome: hits replay with clean counters.
+        stats.clear_host_counters();
         Self {
             stats,
             suffix,

@@ -264,18 +264,7 @@ impl AcceleratorConfig {
     /// Serializes to the simple `key = value` hardware-configuration file
     /// format (the `stonne_hw.cfg` the paper's front-end passes around).
     pub fn to_cfg_string(&self) -> String {
-        let mut out = String::new();
-        self.write_cfg_string(&mut out);
-        out
-    }
-
-    /// [`Self::to_cfg_string`] appended to an existing buffer instead of
-    /// a fresh `String` — tile-key construction formats the
-    /// configuration into pooled buffers on the hot path.
-    pub fn write_cfg_string(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
+        format!(
             "# STONNE hardware configuration\n\
              name = {}\n\
              ms_size = {}\n\
@@ -301,7 +290,7 @@ impl AcceleratorConfig {
             self.dataflow,
             self.sparse_format,
             self.exploit_activation_sparsity,
-        );
+        )
     }
 
     /// Parses a `key = value` hardware-configuration string produced by

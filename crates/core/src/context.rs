@@ -1,103 +1,29 @@
-//! Reusable execution context: the tile-grain result cache and pooled
-//! engine scratch buffers.
+//! Reusable execution context: pooled engine scratch buffers plus the
+//! switch for the flexible engine's in-invocation class collapse.
 //!
-//! The layer-grain [`crate::SimCache`] only pays off when a whole layer
-//! repeats. Heterogeneous models (ResNet-50's many distinct conv shapes)
-//! and dense sweep grids repeat at a finer grain: the *per-tile* timing
-//! walk inside each engine invocation is identical across the filter
-//! chunks of one layer, across layers that differ only in filter count,
-//! and across sweep points that share an architecture. [`SimContext`]
-//! memoizes those per-tile timing/counter records under a canonical
-//! sub-signature (engine kind + configuration + tile geometry +
-//! dataflow/schedule token + operand uniformity class), so the engines
-//! consult it before re-deriving a record — and layer results are
-//! assembled from the records in the same chunk-ascending merge order the
-//! intra-layer parallel path already guarantees, keeping outputs, cycles,
-//! breakdowns and traces bitwise-identical to an uncached run.
-//!
-//! Records are keyed by a 64-bit FNV digest of the canonical key text;
-//! the full text is stored alongside each record and compared on every
-//! lookup, so a digest collision degrades to a miss (mirroring the
-//! [`crate::DiskStore`] collision guard) instead of replaying the wrong
-//! timing. A context can be backed by a [`DiskStore`] (blob channel
-//! `tiles`, fingerprint-scoped like every store namespace) so warm sweeps
-//! and cluster profiling reuse tile records across *processes*, not just
-//! within a run.
+//! The filter chunks of one flexible-engine invocation share their
+//! accounting walk per chunk *width*, so the engine derives one record per
+//! width class (at most two: full and ragged) and merges it once per
+//! chunk, chunk-ascending — the order the intra-layer parallel path
+//! already guarantees. Nothing is keyed, stored or shared between
+//! invocations: reuse across layers, runs and processes belongs to
+//! [`crate::SimCache`] and [`crate::DiskStore`] alone (see the "Reuse
+//! hierarchy" section of `docs/PERFORMANCE.md`).
 //!
 //! The context also pools the engines' scratch buffers (address
 //! workspaces, fold accumulators) so wave-parallel and sweep execution
-//! reuse allocations instead of re-growing them per operation — see the
-//! "Reuse hierarchy" section of `docs/PERFORMANCE.md`.
+//! reuse allocations instead of re-growing them per operation.
 
-use crate::stats::SimStats;
-use crate::store::{digest64, DiskStore};
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use stonne_tensor::Elem;
-
-/// Schema tag of persisted tile-record blobs; bump on any change to the
-/// record layout or key grammar so stale blobs degrade to misses.
-pub(crate) const TILE_SCHEMA: &str = "stonne-tile/1";
-
-/// One memoized per-tile timing/counter record: the stat and cycle
-/// *deltas* of a single tile-grain unit of work (a filter chunk of the
-/// flexible engine, a systolic tile class, a sparse iteration, a pool
-/// wave pattern), stored as a mergeable partial exactly like the
-/// intra-layer parallel path's per-chunk partials. `stats.cycles` is the
-/// tile's duration (start-independent); volatile cache counters inside
-/// the record are zero by construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct TileRecord {
-    /// The tile's additive stat/cycle contribution.
-    pub stats: SimStats,
-    /// Auxiliary payload: the sparse engine's distinct-k count of the
-    /// iteration (0 for the dense engines).
-    pub distinct_k: u64,
-}
-
-impl TileRecord {
-    /// Wraps a partial-stat record with no auxiliary payload.
-    pub fn new(stats: SimStats) -> Self {
-        Self {
-            stats,
-            distinct_k: 0,
-        }
-    }
-}
-
-/// Serialized form of one persisted tile record (the `tiles` blob
-/// channel of a [`DiskStore`]). The full key text rides along so digest
-/// collisions on disk degrade to misses, exactly like cache entries.
-#[derive(Serialize, Deserialize)]
-struct StoredTile {
-    schema: String,
-    key: String,
-    record: TileRecord,
-}
-
-/// One occupied slot of the tile map: the full canonical key guards
-/// against FNV digest collisions (checked on every lookup).
-#[derive(Debug)]
-struct Slot {
-    key: String,
-    record: TileRecord,
-}
 
 #[derive(Debug)]
 struct ContextInner {
-    /// Kill switch: a disabled context never stores or replays records
-    /// (engines fall back to the plain walk and count nothing).
+    /// Off: the flexible engine walks every chunk (the reference the
+    /// `tile_cache_bitwise` oracle compares against) and counts nothing.
     enabled: bool,
-    tiles: Mutex<HashMap<u64, Slot>>,
-    /// Optional persistence: misses consult the store's `tiles` blob
-    /// channel, inserts write through to it.
-    disk: Mutex<Option<DiskStore>>,
     /// Pooled engine scratch buffers (see [`EngineScratch`]).
     scratch: Mutex<Vec<EngineScratch>>,
-    /// Pooled key-construction buffers: engines format tile keys into
-    /// these reused strings, so warm lookups allocate nothing.
-    keys: Mutex<Vec<String>>,
 }
 
 /// Reusable per-worker engine scratch: the hot loops borrow these
@@ -112,20 +38,20 @@ pub(crate) struct EngineScratch {
     pub acc: Vec<Elem>,
 }
 
-/// A shareable execution context: tile-grain result cache plus pooled
-/// scratch buffers.
+/// A shareable execution context: pooled scratch buffers and the
+/// class-collapse switch.
 ///
 /// Cloning is cheap and shares the underlying state, so one context can
 /// be threaded through a full-model run, across the worker threads of a
-/// sweep server, or across every request of a cluster profile. Every
-/// [`crate::Stonne`] carries one (fresh by default); attach a shared one
-/// with [`crate::Stonne::with_context`].
+/// sweep server, or across every request of a cluster profile — what the
+/// sharers gain is the grown scratch buffers, never timing results.
+/// Every [`crate::Stonne`] carries one (fresh by default); attach a
+/// shared one with [`crate::Stonne::with_context`].
 ///
-/// Tile caching is on by default and bitwise-invisible: runs with and
-/// without it produce identical outputs, cycles, breakdowns and traces
-/// (fuzzed by the `tile_cache_bitwise` oracle). Set the environment
-/// variable `STONNE_TILE_CACHE=0` before process start to disable it
-/// globally, or construct an explicit [`SimContext::disabled`].
+/// The class collapse is on by default and bitwise-invisible: runs with
+/// and without it produce identical outputs, cycles, breakdowns and
+/// traces (fuzzed by the `tile_cache_bitwise` oracle); construct a
+/// [`SimContext::disabled`] one to walk every chunk.
 #[derive(Debug, Clone)]
 pub struct SimContext {
     inner: Arc<ContextInner>,
@@ -138,16 +64,14 @@ impl Default for SimContext {
 }
 
 impl SimContext {
-    /// Creates a fresh context. Tile caching is enabled unless the
-    /// process environment sets `STONNE_TILE_CACHE=0`.
+    /// Creates a fresh context with the class collapse on.
     pub fn new() -> Self {
-        let enabled = std::env::var("STONNE_TILE_CACHE").map_or(true, |v| v != "0");
-        Self::with_enabled(enabled)
+        Self::with_enabled(true)
     }
 
-    /// Creates a context whose tile cache never stores or replays —
-    /// engines run their plain accounting walks (used by the bitwise
-    /// oracle and A/B tests).
+    /// Creates a context under which the flexible engine runs its plain
+    /// per-chunk accounting walk and the `tile_cache_*` counters stay 0
+    /// (used by the bitwise oracle and A/B tests).
     pub fn disabled() -> Self {
         Self::with_enabled(false)
     }
@@ -156,162 +80,15 @@ impl SimContext {
         Self {
             inner: Arc::new(ContextInner {
                 enabled,
-                tiles: Mutex::new(HashMap::new()),
-                disk: Mutex::new(None),
                 scratch: Mutex::new(Vec::new()),
-                keys: Mutex::new(Vec::new()),
             }),
         }
     }
 
-    /// Whether tile-grain memoization is active.
+    /// Whether the flexible engine collapses a layer's filter chunks onto
+    /// their width-class records.
     pub fn tile_cache_enabled(&self) -> bool {
         self.inner.enabled
-    }
-
-    /// Number of memoized tile records (in memory).
-    pub fn tile_count(&self) -> usize {
-        self.lock_tiles().len()
-    }
-
-    /// Backs this context with a disk store: tile records persist to the
-    /// store's `tiles` blob channel (fingerprint-scoped, full-key
-    /// checked) and lookups that miss in memory consult it. A store
-    /// already attached is kept — the first attachment wins, so a
-    /// context shared across jobs keeps one coherent persistence target.
-    pub fn attach_store(&self, store: &DiskStore) {
-        let mut disk = self.inner.disk.lock().unwrap_or_else(|e| e.into_inner());
-        if disk.is_none() {
-            *disk = Some(store.clone());
-        }
-    }
-
-    /// Builder form of [`SimContext::attach_store`].
-    #[must_use]
-    pub fn backed_by(self, store: &DiskStore) -> Self {
-        self.attach_store(store);
-        self
-    }
-
-    fn lock_tiles(&self) -> MutexGuard<'_, HashMap<u64, Slot>> {
-        // Records are inserted whole; a poisoned lock cannot expose a
-        // partial record, so poisoning is recoverable.
-        self.inner.tiles.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Looks up the record stored under `key`, consulting the disk store
-    /// on a memory miss. A slot whose full key text differs (64-bit
-    /// digest collision) is left in place and reported as a miss.
-    pub(crate) fn tile_lookup(&self, key: &str) -> Option<TileRecord> {
-        self.tile_lookup_at(digest64(key), key)
-    }
-
-    /// [`SimContext::tile_lookup`] with an explicit digest — the seam the
-    /// collision unit test drives (real 64-bit collisions are not
-    /// constructible on demand).
-    pub(crate) fn tile_lookup_at(&self, digest: u64, key: &str) -> Option<TileRecord> {
-        if !self.inner.enabled {
-            return None;
-        }
-        if let Some(slot) = self.lock_tiles().get(&digest) {
-            if slot.key == key {
-                return Some(slot.record.clone());
-            }
-            // Digest collision: the full-key guard turns it into a miss
-            // rather than replaying the wrong tile's timing.
-            return None;
-        }
-        let record = self.tile_load_disk(key)?;
-        self.lock_tiles().insert(
-            digest,
-            Slot {
-                key: key.to_owned(),
-                record: record.clone(),
-            },
-        );
-        Some(record)
-    }
-
-    /// Memoizes `record` under `key` (write-through to the disk store
-    /// when one is attached). An existing slot under the same digest is
-    /// replaced — interchangeable when the keys match, and the
-    /// degrade-to-miss policy when they collide.
-    pub(crate) fn tile_insert(&self, key: &str, record: TileRecord) {
-        self.tile_insert_at(digest64(key), key, record);
-    }
-
-    /// [`SimContext::tile_insert`] with an explicit digest (test seam).
-    pub(crate) fn tile_insert_at(&self, digest: u64, key: &str, record: TileRecord) {
-        if !self.inner.enabled {
-            return;
-        }
-        self.tile_save_disk(key, &record);
-        self.lock_tiles().insert(
-            digest,
-            Slot {
-                key: key.to_owned(),
-                record,
-            },
-        );
-    }
-
-    fn tile_load_disk(&self, key: &str) -> Option<TileRecord> {
-        let disk = self.inner.disk.lock().unwrap_or_else(|e| e.into_inner());
-        let store = disk.as_ref()?;
-        let text = store.load_blob("tiles", key)?;
-        let stored: StoredTile = serde_json::from_str(&text).ok()?;
-        (stored.schema == TILE_SCHEMA && stored.key == key).then_some(stored.record)
-    }
-
-    fn tile_save_disk(&self, key: &str, record: &TileRecord) {
-        let disk = self.inner.disk.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(store) = disk.as_ref() else { return };
-        let stored = StoredTile {
-            schema: TILE_SCHEMA.to_owned(),
-            key: key.to_owned(),
-            record: record.clone(),
-        };
-        if let Ok(text) = serde_json::to_string(&stored) {
-            store.save_blob("tiles", key, &text);
-        }
-    }
-
-    /// Serializes every in-memory tile record as JSON, sorted by full
-    /// key so the snapshot is deterministic. Used by the checkpoint
-    /// machinery: restoring the snapshot before resuming reproduces the
-    /// straight run's tile hit/miss counters exactly, the same way the
-    /// [`crate::SimCache`] snapshot travels with a checkpoint.
-    pub fn export_tiles_json(&self) -> String {
-        let tiles = self.lock_tiles();
-        let mut stored: Vec<StoredTile> = tiles
-            .values()
-            .map(|slot| StoredTile {
-                schema: TILE_SCHEMA.to_owned(),
-                key: slot.key.clone(),
-                record: slot.record.clone(),
-            })
-            .collect();
-        stored.sort_by(|a, b| a.key.cmp(&b.key));
-        serde_json::to_string(&stored).expect("tile records serialize")
-    }
-
-    /// Restores records from an [`SimContext::export_tiles_json`]
-    /// snapshot, returning how many were imported. Records with a stale
-    /// schema tag are skipped (they would re-derive as misses anyway).
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error text when `json` is not a snapshot.
-    pub fn import_tiles_json(&self, json: &str) -> Result<usize, String> {
-        let stored: Vec<StoredTile> = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        let mut imported = 0;
-        for s in stored {
-            if s.schema == TILE_SCHEMA {
-                self.tile_insert(&s.key, s.record);
-                imported += 1;
-            }
-        }
-        Ok(imported)
     }
 
     /// Borrows a scratch set from the pool (a fresh one when the pool is
@@ -334,134 +111,11 @@ impl SimContext {
             .unwrap_or_else(|e| e.into_inner())
             .push(scratch);
     }
-
-    /// Borrows a cleared key-construction buffer from the pool. Engines
-    /// format tile keys into it (prefix once, then truncate-and-append
-    /// per tile class), so a warm invocation's lookups never allocate.
-    pub(crate) fn take_key_buf(&self) -> String {
-        let mut buf = self
-            .inner
-            .keys
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Returns a key buffer to the pool (capacity retained).
-    pub(crate) fn put_key_buf(&self, buf: String) {
-        self.inner
-            .keys
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(buf);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn record(cycles: u64) -> TileRecord {
-        TileRecord::new(SimStats {
-            cycles,
-            ..SimStats::default()
-        })
-    }
-
-    #[test]
-    fn roundtrips_a_record_by_full_key() {
-        let ctx = SimContext::new();
-        ctx.tile_insert("flex-ws|cfg|w=4", record(11));
-        assert_eq!(
-            ctx.tile_lookup("flex-ws|cfg|w=4").map(|r| r.stats.cycles),
-            Some(11)
-        );
-        assert!(ctx.tile_lookup("flex-ws|cfg|w=5").is_none());
-        assert_eq!(ctx.tile_count(), 1);
-    }
-
-    /// Distinct tile keys whose 64-bit FNV digests collide must degrade
-    /// to a miss: the slot stores the full key and every lookup checks
-    /// it, mirroring the `DiskStore` collision guard. Driven through the
-    /// explicit-digest seam because real 64-bit collisions are not
-    /// constructible on demand.
-    #[test]
-    fn fnv_digest_collision_degrades_to_a_miss() {
-        let ctx = SimContext::new();
-        let digest = 0xdead_beef_u64;
-        let key_a = "flex-ws|cfg|tile=(2,2)|w=4";
-        let key_b = "flex-os|cfg|tile=(4,1)|w=2"; // distinct geometry/schedule
-        ctx.tile_insert_at(digest, key_a, record(7));
-        // The colliding key must NOT replay key_a's record.
-        assert!(ctx.tile_lookup_at(digest, key_b).is_none());
-        // The original key still hits.
-        assert_eq!(
-            ctx.tile_lookup_at(digest, key_a).map(|r| r.stats.cycles),
-            Some(7)
-        );
-        // Inserting the colliding key replaces the slot; the older key
-        // then degrades to a miss too (never a wrong replay).
-        ctx.tile_insert_at(digest, key_b, record(9));
-        assert!(ctx.tile_lookup_at(digest, key_a).is_none());
-        assert_eq!(
-            ctx.tile_lookup_at(digest, key_b).map(|r| r.stats.cycles),
-            Some(9)
-        );
-    }
-
-    #[test]
-    fn disabled_context_stores_and_replays_nothing() {
-        let ctx = SimContext::disabled();
-        assert!(!ctx.tile_cache_enabled());
-        ctx.tile_insert("k", record(3));
-        assert!(ctx.tile_lookup("k").is_none());
-        assert_eq!(ctx.tile_count(), 0);
-    }
-
-    #[test]
-    fn records_persist_through_an_attached_store() {
-        let root =
-            std::env::temp_dir().join(format!("stonne-context-store-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
-        let store = DiskStore::open(&root).unwrap();
-        let warm = SimContext::new().backed_by(&store);
-        warm.tile_insert("tile|key", record(21));
-
-        // A fresh context on the same store ("restarted process") sees it.
-        let cold = SimContext::new().backed_by(&store);
-        assert_eq!(
-            cold.tile_lookup("tile|key").map(|r| r.stats.cycles),
-            Some(21)
-        );
-        // Promoted into memory on load.
-        assert_eq!(cold.tile_count(), 1);
-        // A second attachment is ignored (first wins).
-        let other = DiskStore::open(
-            std::env::temp_dir().join(format!("stonne-context-store-other-{}", std::process::id())),
-        )
-        .unwrap();
-        cold.attach_store(&other);
-        assert!(cold.tile_lookup("tile|key").is_some());
-        std::fs::remove_dir_all(&root).ok();
-        std::fs::remove_dir_all(other.dir().parent().unwrap()).ok();
-    }
-
-    #[test]
-    fn tile_snapshot_roundtrips_deterministically() {
-        let ctx = SimContext::new();
-        ctx.tile_insert("b|key", record(2));
-        ctx.tile_insert("a|key", record(1));
-        let snap = ctx.export_tiles_json();
-        assert_eq!(snap, ctx.export_tiles_json(), "deterministic export");
-        let fresh = SimContext::new();
-        assert_eq!(fresh.import_tiles_json(&snap), Ok(2));
-        assert_eq!(fresh.tile_lookup("a|key").map(|r| r.stats.cycles), Some(1));
-        assert_eq!(fresh.tile_lookup("b|key").map(|r| r.stats.cycles), Some(2));
-        assert!(fresh.import_tiles_json("not json").is_err());
-    }
 
     #[test]
     fn scratch_pool_reuses_buffers() {

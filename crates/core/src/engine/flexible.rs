@@ -27,7 +27,7 @@
 //! analytical models miss (Fig. 1b).
 
 use crate::config::{AcceleratorConfig, Dataflow};
-use crate::context::{EngineScratch as Scratch, SimContext, TileRecord};
+use crate::context::{EngineScratch as Scratch, SimContext};
 use crate::mapping::{LayerDims, Tile};
 use crate::networks::{DistributionNetwork, MultiplierNetwork, ReductionNetwork};
 use crate::stats::SimStats;
@@ -109,12 +109,11 @@ pub fn run_dense_with(
     )
 }
 
-/// [`run_dense_with`] threaded through a shared [`SimContext`]: per-tile
-/// timing records are replayed from (and derived into) the context's tile
-/// cache, and scratch buffers come from its pool. The public wrappers use
-/// a fresh context per call (tile reuse still collapses a layer's
-/// identical filter chunks); [`crate::Stonne`] threads its own so records
-/// persist across layers, models, and sweep points.
+/// [`run_dense_with`] threaded through a shared [`SimContext`]: scratch
+/// buffers come from its pool, and its switch selects between the
+/// width-class collapse and the plain per-chunk walk. The public wrappers
+/// use a fresh context per call; [`crate::Stonne`] threads its own so the
+/// grown buffers serve every layer of a run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_dense_ctx(
     config: &AcceleratorConfig,
@@ -195,7 +194,7 @@ pub(crate) fn replay_dense(
         // WS and OS accumulate identically: one fold-slice partial sum at
         // a time, fold-ascending, rows ascending within a fold.
         Dataflow::WeightStationary | Dataflow::OutputStationary => {
-            replay_folded(operand, tile.cluster_size())
+            replay_rows(operand, tile.cluster_size())
         }
         // IS runs the weight-stationary engine on the transposed problem
         // with a re-derived tile; mirror that exactly.
@@ -207,33 +206,18 @@ pub(crate) fn replay_dense(
                 DenseOperand::from_gemm(operand.inputs.transposed(), operand.weights.transposed());
             let t_layer = LayerDims::from_gemm(n, m, k_len);
             let t_tile = Tile::auto_bw(&t_layer, config.ms_size, config.dn_bandwidth);
-            replay_folded(&swapped, t_tile.cluster_size()).transposed()
+            replay_rows(&swapped, t_tile.cluster_size()).transposed()
         }
     }
 }
 
-fn replay_folded(operand: &DenseOperand, cluster: usize) -> Matrix {
+/// The whole operand as one filter chunk of [`compute_chunk_output`] —
+/// output rows are independent, so this equals the engine's per-chunk
+/// calls bit for bit.
+fn replay_rows(operand: &DenseOperand, cluster: usize) -> Matrix {
     let m = operand.weights.rows();
-    let k_len = operand.weights.cols();
-    let n = operand.inputs.cols();
-    let cluster = cluster.max(1);
-    let folds = k_len.div_ceil(cluster);
-    let mut out = Matrix::zeros(m, n);
-    for kf in 0..m {
-        for p in 0..n {
-            let mut v: Elem = 0.0;
-            for fold in 0..folds {
-                let row_lo = fold * cluster;
-                let row_hi = (row_lo + cluster).min(k_len);
-                let mut acc: Elem = 0.0;
-                for row in row_lo..row_hi {
-                    acc += operand.weights.get(kf, row) * operand.inputs.get(row, p);
-                }
-                v += acc;
-            }
-            out.set(kf, p, v);
-        }
-    }
+    let mut out = Matrix::zeros(m, operand.inputs.cols());
+    compute_chunk_output(operand, cluster, 0, m, out.as_mut_slice(), &mut Vec::new());
     out
 }
 
@@ -246,24 +230,28 @@ fn replay_folded(operand: &DenseOperand, cluster: usize) -> Matrix {
 /// vectorizable, unlike a per-output latency-bound dot chain. Padding
 /// taps multiply the stored zero, exactly as the per-element walk did.
 fn compute_chunk_output(
-    ctx: &WsCtx<'_>,
+    operand: &DenseOperand,
+    cluster: usize,
     k_lo: usize,
     k_hi: usize,
     out_rows: &mut [Elem],
     acc: &mut Vec<Elem>,
 ) {
-    let n = ctx.n;
+    let k_len = operand.weights.cols();
+    let n = operand.inputs.cols();
+    let cluster = cluster.max(1);
+    let folds = k_len.div_ceil(cluster);
     acc.resize(n, 0.0);
     let acc = &mut acc[..n];
     for kf in k_lo..k_hi {
-        let w_row = ctx.operand.weights.row(kf);
+        let w_row = operand.weights.row(kf);
         let out_row = &mut out_rows[(kf - k_lo) * n..(kf - k_lo + 1) * n];
-        for fold in 0..ctx.folds {
-            let row_lo = fold * ctx.cluster;
-            let row_hi = (row_lo + ctx.cluster).min(ctx.k_len);
+        for fold in 0..folds {
+            let row_lo = fold * cluster;
+            let row_hi = (row_lo + cluster).min(k_len);
             acc.fill(0.0);
             for (&wv, row) in w_row[row_lo..row_hi].iter().zip(row_lo..row_hi) {
-                let src = &ctx.operand.inputs.row(row)[..n];
+                let src = &operand.inputs.row(row)[..n];
                 for (a, &x) in acc.iter_mut().zip(src) {
                     *a += wv * x;
                 }
@@ -370,10 +358,10 @@ struct WsCtx<'a> {
 ///
 /// The walk depends only on the chunk's *width*, never on which filters
 /// it covers — every full-width chunk of a layer shares one accounting
-/// record, which is what makes the tile-grain cache exact. Chunks touch
-/// disjoint output rows and carry no state between each other beyond the
-/// additive cycle/stat totals — the disjoint-tile invariant that makes
-/// intra-layer parallelism (and record assembly) bitwise-safe.
+/// record, which is what makes the width-class collapse exact. Chunks
+/// touch disjoint output rows and carry no state between each other
+/// beyond the additive cycle/stat totals — the disjoint-tile invariant
+/// that makes intra-layer parallelism (and record assembly) bitwise-safe.
 fn ws_chunk_accounting(
     ctx: &WsCtx<'_>,
     chunk_filters: usize,
@@ -540,10 +528,8 @@ fn run_weight_stationary(
         trivial_addrs: has_trivial_addrs(operand),
     };
     drive_filter_chunks(
-        "flex-ws",
         config,
         operation,
-        layer,
         tile,
         &ctx,
         m,
@@ -553,53 +539,16 @@ fn run_weight_stationary(
     )
 }
 
-/// Canonical tile-record key prefix of one flexible-engine invocation:
-/// everything the width-only accounting walk depends on — configuration
-/// (networks, bandwidths, dataflow), output-row extent (position
-/// chunking), dot length (folds), streamed positions, tile geometry, and
-/// the operand's address-reuse class (`id` for trivial GEMM maps, a
-/// base-normalized pattern hash otherwise). The filter count `m` is
-/// deliberately absent: layers differing only in filter count share
-/// records, chunk-width classes are keyed separately (`|w=`).
-fn flex_tile_key(
-    key: &mut String,
-    kind: &str,
-    config: &AcceleratorConfig,
-    layer: &LayerDims,
-    tile: &Tile,
-    ctx: &WsCtx<'_>,
-) {
-    use std::fmt::Write as _;
-    let _ = write!(key, "{kind}|");
-    config.write_cfg_string(key);
-    let _ = write!(
-        key,
-        "|yp={}|k={}|n={}|tile={:?}|addrs=",
-        layer.yp, ctx.k_len, ctx.n, tile,
-    );
-    if ctx.trivial_addrs {
-        key.push_str("id");
-    } else {
-        let _ = write!(
-            key,
-            "h{:016x}",
-            crate::cache::addrs_hash(&ctx.operand.addrs)
-        );
-    }
-}
-
 /// Shared chunk-walk driver of the WS and OS runs: computes every filter
-/// chunk's functional output, then accounts timing either through the
-/// tile-grain cache (one record per chunk-width class, replayed and
-/// assembled chunk-ascending) or the plain per-chunk walk. Tracing
-/// bypasses the cache — spans carry absolute cycles, so replay would drop
-/// them — which also keeps traces trivially identical with the cache on.
+/// chunk's functional output, then accounts timing either by width class
+/// (one record per distinct chunk width, merged once per chunk,
+/// chunk-ascending) or by the plain per-chunk walk. Tracing takes the
+/// plain walk — spans carry absolute cycles, so a merged record would
+/// drop them — which also keeps traces trivially identical either way.
 #[allow(clippy::too_many_arguments)]
 fn drive_filter_chunks(
-    kind: &str,
     config: &AcceleratorConfig,
     operation: &str,
-    layer: &LayerDims,
     tile: &Tile,
     ctx: &WsCtx<'_>,
     m: usize,
@@ -618,84 +567,58 @@ fn drive_filter_chunks(
     };
     let k_chunks = m.div_ceil(t_k);
     let chunk_bounds = |kc: usize| (kc * t_k, (kc * t_k + t_k).min(m));
+    // Functional output of chunk `kc` into its block of output rows;
+    // returns the chunk's width.
+    let compute = |kc: usize, block: &mut [Elem], acc: &mut Vec<Elem>| {
+        let (k_lo, k_hi) = chunk_bounds(kc);
+        compute_chunk_output(ctx.operand, ctx.cluster, k_lo, k_hi, block, acc);
+        k_hi - k_lo
+    };
 
     if sim.tile_cache_enabled() && !crate::trace::is_active() {
-        // Resolve the chunk-width classes first: all full-width chunks
-        // share one record, the ragged last chunk (if any) adds a second,
-        // so the context is consulted at most twice per invocation. The
-        // key lives in a pooled buffer (prefix once, truncate-and-append
-        // per class) so warm lookups are allocation-free.
-        use std::fmt::Write as _;
-        let mut key = sim.take_key_buf();
-        flex_tile_key(&mut key, kind, config, layer, tile, ctx);
-        let prefix_len = key.len();
         let mut scratch = sim.take_scratch();
-        // At most two width classes exist (full and ragged), so the class
-        // table is a stack array — no heap allocation per invocation.
-        let mut classes: [Option<(usize, TileRecord)>; 2] = [None, None];
-        for kc in 0..k_chunks {
-            let (k_lo, k_hi) = chunk_bounds(kc);
-            let w = k_hi - k_lo;
-            if classes.iter().flatten().any(|(cw, _)| *cw == w) {
-                continue;
-            }
-            key.truncate(prefix_len);
-            let _ = write!(key, "|w={w}");
-            let record = if let Some(r) = sim.tile_lookup(&key) {
-                stats.tile_cache_hits += 1;
-                r
-            } else {
-                stats.tile_cache_misses += 1;
-                let mut local = SimStats::default();
-                let end = chunk_accounting(ctx, w, &mut local, 0, &mut scratch);
-                local.cycles = end;
-                let r = TileRecord::new(local);
-                sim.tile_insert(&key, r.clone());
-                r
-            };
-            *classes
-                .iter_mut()
-                .find(|slot| slot.is_none())
-                .expect("a chunk grid has at most two width classes") = Some((w, record));
-        }
-        sim.put_key_buf(key);
         // Functional outputs: the exact per-chunk kernel, fanned out when
         // the worker budget allows (partial stats are not needed).
         if parallel_over(workers, k_chunks) {
             let blocks = out.as_mut_slice().chunks_mut(t_k * n);
             run_chunks_parallel(workers, k_chunks, blocks, sim, |kc, block, scratch| {
-                let (k_lo, k_hi) = chunk_bounds(kc);
-                compute_chunk_output(ctx, k_lo, k_hi, block, &mut scratch.acc);
+                compute(kc, block, &mut scratch.acc);
                 SimStats::default()
             });
         } else {
             for (kc, block) in out.as_mut_slice().chunks_mut(t_k * n).enumerate() {
-                let (k_lo, k_hi) = chunk_bounds(kc);
-                compute_chunk_output(ctx, k_lo, k_hi, block, &mut scratch.acc);
+                compute(kc, block, &mut scratch.acc);
             }
         }
-        sim.put_scratch(scratch);
-        // Assemble the layer from the records chunk-ascending — the same
-        // deterministic merge order the intra-layer parallel path uses,
-        // so cycles, counters, and breakdowns are bitwise-stable.
+        // Timing: every chunk is `t_k` wide except a ragged last one, so
+        // the width changes at most once along the walk and the record of
+        // the current width class is all that has to be kept (at most two
+        // accounting walks per invocation). Merging it once per chunk,
+        // chunk-ascending, is the same deterministic order the
+        // intra-layer parallel path uses, so cycles, counters and
+        // breakdowns are bitwise-stable.
+        let mut class = (0, SimStats::default());
         for kc in 0..k_chunks {
             let (k_lo, k_hi) = chunk_bounds(kc);
             let w = k_hi - k_lo;
-            let record = classes
-                .iter()
-                .flatten()
-                .find_map(|(cw, r)| (*cw == w).then_some(r))
-                .expect("every width class resolved above");
-            stats.merge(&record.stats);
+            if w == class.0 {
+                stats.tile_cache_hits += 1;
+            } else {
+                stats.tile_cache_misses += 1;
+                let mut record = SimStats::default();
+                record.cycles = chunk_accounting(ctx, w, &mut record, 0, &mut scratch);
+                class = (w, record);
+            }
+            stats.merge(&class.1);
             stats.tile_cache_assembled += 1;
         }
+        sim.put_scratch(scratch);
     } else if parallel_over(workers, k_chunks) {
         let blocks = out.as_mut_slice().chunks_mut(t_k * n);
         let partials = run_chunks_parallel(workers, k_chunks, blocks, sim, |kc, block, scratch| {
-            let (k_lo, k_hi) = chunk_bounds(kc);
-            compute_chunk_output(ctx, k_lo, k_hi, block, &mut scratch.acc);
+            let w = compute(kc, block, &mut scratch.acc);
             let mut local = SimStats::default();
-            let cycles = chunk_accounting(ctx, k_hi - k_lo, &mut local, 0, scratch);
+            let cycles = chunk_accounting(ctx, w, &mut local, 0, scratch);
             SimStats { cycles, ..local }
         });
         for partial in &partials {
@@ -705,9 +628,8 @@ fn drive_filter_chunks(
         let mut cycles: u64 = 0;
         let mut scratch = sim.take_scratch();
         for (kc, block) in out.as_mut_slice().chunks_mut(t_k * n).enumerate() {
-            let (k_lo, k_hi) = chunk_bounds(kc);
-            compute_chunk_output(ctx, k_lo, k_hi, block, &mut scratch.acc);
-            cycles = chunk_accounting(ctx, k_hi - k_lo, &mut stats, cycles, &mut scratch);
+            let w = compute(kc, block, &mut scratch.acc);
+            cycles = chunk_accounting(ctx, w, &mut stats, cycles, &mut scratch);
         }
         sim.put_scratch(scratch);
         stats.cycles = cycles;
@@ -885,10 +807,8 @@ fn run_output_stationary(
         trivial_addrs: has_trivial_addrs(operand),
     };
     drive_filter_chunks(
-        "flex-os",
         config,
         operation,
-        layer,
         tile,
         &ctx,
         m,
@@ -1077,8 +997,7 @@ mod tests {
     #[test]
     fn tile_cache_is_bitwise_invisible_and_collapses_width_classes() {
         // On-vs-off must agree on output bits and every stat except the
-        // tile counters themselves; a shared context must then replay the
-        // records (zero misses) on a second identical invocation.
+        // tile counters themselves, which the disabled side leaves at 0.
         for (seed, dataflow) in [
             (51, Dataflow::WeightStationary),
             (52, Dataflow::OutputStationary),
@@ -1091,13 +1010,10 @@ mod tests {
             cfg.dataflow = dataflow;
             let (off_out, off) =
                 run_dense_ctx(&cfg, "g", &layer, &tile, &op, 1, &SimContext::disabled());
-            let shared = SimContext::new();
-            let (on_out, on) = run_dense_ctx(&cfg, "g", &layer, &tile, &op, 1, &shared);
+            let (on_out, on) = run_dense_ctx(&cfg, "g", &layer, &tile, &op, 1, &SimContext::new());
             assert_eq!(off_out.as_slice(), on_out.as_slice(), "{dataflow:?}");
             let mut stripped = on.clone();
-            stripped.tile_cache_hits = 0;
-            stripped.tile_cache_misses = 0;
-            stripped.tile_cache_assembled = 0;
+            stripped.clear_host_counters();
             assert_eq!(off, stripped, "{dataflow:?}: only tile counters differ");
             // Many chunks collapse onto at most two width-class records.
             assert!(
@@ -1105,11 +1021,12 @@ mod tests {
                 "{dataflow:?}: misses {}",
                 on.tile_cache_misses
             );
-            assert!(on.tile_cache_assembled > u64::from(on.tile_cache_misses > 0));
-            let (re_out, re) = run_dense_ctx(&cfg, "g", &layer, &tile, &op, 1, &shared);
-            assert_eq!(re_out.as_slice(), on_out.as_slice(), "{dataflow:?}");
-            assert_eq!(re.tile_cache_misses, 0, "{dataflow:?}: warm context");
-            assert!(re.tile_cache_hits >= 1, "{dataflow:?}");
+            assert!(on.tile_cache_hits > 0, "{dataflow:?}: chunks replay");
+            assert_eq!(
+                on.tile_cache_assembled,
+                on.tile_cache_hits + on.tile_cache_misses,
+                "{dataflow:?}"
+            );
         }
     }
 

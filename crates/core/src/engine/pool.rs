@@ -6,7 +6,6 @@
 //! maximum. The cycle cost is delivery-bound.
 
 use crate::config::AcceleratorConfig;
-use crate::context::{SimContext, TileRecord};
 use crate::networks::{DistributionNetwork, ReductionNetwork};
 use crate::stats::SimStats;
 use crate::trace::{Component, Probe};
@@ -27,22 +26,6 @@ pub fn run_maxpool(
     window: usize,
     stride: usize,
 ) -> (Tensor4, SimStats) {
-    run_maxpool_ctx(config, operation, input, window, stride, &SimContext::new())
-}
-
-/// [`run_maxpool`] threaded through a shared [`SimContext`]: the wave
-/// loop's whole-invocation timing is one record keyed on (configuration,
-/// input shape, window, stride) — every wave streams the same volume, so
-/// the record replays the full closed form. The functional max-pool
-/// always runs; tracing bypasses the cache.
-pub(crate) fn run_maxpool_ctx(
-    config: &AcceleratorConfig,
-    operation: &str,
-    input: &Tensor4,
-    window: usize,
-    stride: usize,
-    sim: &SimContext,
-) -> (Tensor4, SimStats) {
     let out = maxpool2d_reference(input, window, stride);
     let mut stats = SimStats {
         accelerator: config.name.clone(),
@@ -51,42 +34,6 @@ pub(crate) fn run_maxpool_ctx(
         ..SimStats::default()
     };
 
-    if sim.tile_cache_enabled() && !crate::trace::is_active() {
-        use std::fmt::Write as _;
-        let mut key = sim.take_key_buf();
-        let _ = write!(key, "pool|");
-        config.write_cfg_string(&mut key);
-        let _ = write!(key, "|in={:?}|win={window}|stride={stride}", input.shape());
-        let record = if let Some(r) = sim.tile_lookup(&key) {
-            stats.tile_cache_hits += 1;
-            r
-        } else {
-            stats.tile_cache_misses += 1;
-            let mut local = SimStats::default();
-            pool_accounting(config, input, &out, window, &mut local);
-            let r = TileRecord::new(local);
-            sim.tile_insert(&key, r.clone());
-            r
-        };
-        sim.put_key_buf(key);
-        stats.merge(&record.stats);
-        stats.tile_cache_assembled += 1;
-    } else {
-        pool_accounting(config, input, &out, window, &mut stats);
-    }
-    (out, stats)
-}
-
-/// Timing/activity of one max-pool invocation (the wave loop's closed
-/// form). Depends only on the output volume, window, and configuration —
-/// the record the tile cache replays.
-fn pool_accounting(
-    config: &AcceleratorConfig,
-    _input: &Tensor4,
-    out: &Tensor4,
-    window: usize,
-    stats: &mut SimStats,
-) {
     let dn = DistributionNetwork::new(config.dn, config.ms_size, config.dn_bandwidth);
     let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
 
@@ -125,6 +72,7 @@ fn pool_accounting(
     stats.ms_busy_cycles = num_windows * window_elems as u64;
     stats.iterations = waves;
     stats.cycles = cycles;
+    (out, stats)
 }
 
 #[cfg(test)]
@@ -151,25 +99,6 @@ mod tests {
         let (_, s1) = run_maxpool(&cfg, "p", &small, 2, 2);
         let (_, s2) = run_maxpool(&cfg, "p", &large, 2, 2);
         assert!(s2.cycles > s1.cycles);
-    }
-
-    #[test]
-    fn tile_cache_matches_uncached_bitwise() {
-        let mut rng = SeededRng::new(4);
-        let input = Tensor4::random(1, 3, 8, 8, &mut rng);
-        let cfg = AcceleratorConfig::maeri_like(64, 16);
-        let (off_out, off) = run_maxpool_ctx(&cfg, "p", &input, 2, 2, &SimContext::disabled());
-        let shared = SimContext::new();
-        let (on_out, on) = run_maxpool_ctx(&cfg, "p", &input, 2, 2, &shared);
-        assert_eq!(off_out, on_out);
-        let mut stripped = on.clone();
-        stripped.tile_cache_hits = 0;
-        stripped.tile_cache_misses = 0;
-        stripped.tile_cache_assembled = 0;
-        assert_eq!(off, stripped, "only the tile counters may differ");
-        assert_eq!((on.tile_cache_misses, on.tile_cache_assembled), (1, 1));
-        let (_, warm) = run_maxpool_ctx(&cfg, "p", &input, 2, 2, &shared);
-        assert_eq!((warm.tile_cache_hits, warm.tile_cache_misses), (1, 0));
     }
 
     #[test]

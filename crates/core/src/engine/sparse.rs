@@ -23,7 +23,6 @@
 //! estimate wins, as SIGMA's flexible substrate allows.
 
 use crate::config::{AcceleratorConfig, SparseFormat};
-use crate::context::{SimContext, TileRecord};
 use crate::networks::{ceil_log2, DistributionNetwork, ReductionNetwork};
 use crate::stats::SimStats;
 use crate::trace::{Component, Probe};
@@ -267,24 +266,6 @@ pub fn run_spmm(
     b: &Matrix,
     schedule: &dyn RowSchedule,
 ) -> SparseRun {
-    run_spmm_ctx(config, operation, a, b, schedule, &SimContext::new())
-}
-
-/// [`run_spmm`] threaded through a shared [`SimContext`]: on the
-/// weight-stationary path without activation sparsity, each packing
-/// iteration's timing/activity (and its expensive distinct-k union) is
-/// one record keyed on (configuration, streamed columns, CSR sparsity
-/// pattern, packed-segment signature). The activation-sparsity mode and
-/// the GEMV input-stationary path read streaming values per column and
-/// are exempt. The functional SpMM always runs.
-pub(crate) fn run_spmm_ctx(
-    config: &AcceleratorConfig,
-    operation: &str,
-    a: &CsrMatrix,
-    b: &Matrix,
-    schedule: &dyn RowSchedule,
-    sim: &SimContext,
-) -> SparseRun {
     assert_eq!(a.cols(), b.rows(), "SpMM inner dimension mismatch");
     let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
     assert!(
@@ -302,7 +283,7 @@ pub(crate) fn run_spmm_ctx(
     if is_estimate < ws_estimate {
         run_input_stationary(config, operation, a, b, &row_nnz)
     } else {
-        run_weight_stationary(config, operation, a, b, &order, &row_nnz, schedule, sim)
+        run_weight_stationary(config, operation, a, b, &order, &row_nnz, schedule)
     }
 }
 
@@ -332,7 +313,6 @@ fn estimate_input_stationary(
     (k as u64).div_ceil(config.dn_bandwidth as u64) + dispatches + ceil_log2(config.ms_size) as u64
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_weight_stationary(
     config: &AcceleratorConfig,
     operation: &str,
@@ -341,7 +321,6 @@ fn run_weight_stationary(
     order: &[usize],
     row_nnz: &[usize],
     schedule: &dyn RowSchedule,
-    sim: &SimContext,
 ) -> SparseRun {
     let dn = DistributionNetwork::new(config.dn, config.ms_size, config.dn_bandwidth);
     let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
@@ -367,66 +346,15 @@ fn run_weight_stationary(
     let rows: Vec<Vec<(usize, Elem)>> = (0..m).map(|r| a.row_entries(r).collect()).collect();
     let bt = b.transposed();
 
-    // Tile-grain memoization applies only to the uniform branch: the
-    // activation-sparsity mode reads streaming values per column, so its
-    // accounting is not a function of the packing pattern alone. Tracing
-    // bypasses the cache (spans carry absolute cycles).
+    // The activation-sparsity (dual) mode reads streaming values per
+    // column; without it every column of an iteration costs the same and
+    // the accounting is charged in bulk.
     let dual = config.exploit_activation_sparsity;
-    // The key lives in a pooled buffer (prefix once, truncate-and-append
-    // per segment pack) so warm lookups are allocation-free.
-    let mut tile_key =
-        (!dual && sim.tile_cache_enabled() && !crate::trace::is_active()).then(|| {
-            use std::fmt::Write as _;
-            let mut key = sim.take_key_buf();
-            let _ = write!(key, "spmm-ws|");
-            config.write_cfg_string(&mut key);
-            let _ = write!(
-                key,
-                "|n={n}|pat=h{:016x}",
-                crate::cache::csr_pattern_hash(a)
-            );
-            let prefix_len = key.len();
-            (key, prefix_len)
-        });
 
     for segments in &iterations {
         let occupied: usize = segments.iter().map(|s| s.len).sum();
 
-        if let Some((key, prefix_len)) = &mut tile_key {
-            // Functional outputs in the exact engine order (always).
-            uniform_functional(&mut out, &bt, &rows, segments, n);
-            use std::fmt::Write as _;
-            key.truncate(*prefix_len);
-            let _ = write!(key, "|seg=h{:016x}", segments_signature(segments));
-            let record = if let Some(r) = sim.tile_lookup(key) {
-                stats.tile_cache_hits += 1;
-                r
-            } else {
-                stats.tile_cache_misses += 1;
-                let mut local = SimStats::default();
-                let (end, distinct_k) =
-                    ws_iteration_accounting(&dn, &rn, &rows, segments, occupied, n, &mut local, 0);
-                local.cycles = end;
-                let r = TileRecord {
-                    stats: local,
-                    distinct_k: distinct_k as u64,
-                };
-                sim.tile_insert(key, r.clone());
-                r
-            };
-            iter_infos.push(IterationInfo {
-                segments: segments.len(),
-                ms_occupied: occupied,
-                distinct_k: record.distinct_k as usize,
-            });
-            stats.merge(&record.stats);
-            stats.tile_cache_assembled += 1;
-            continue;
-        }
-
         if !dual {
-            // Uncached uniform walk: functional compute plus the same
-            // accounting the records memoize, at absolute trace cycles.
             uniform_functional(&mut out, &bt, &rows, segments, n);
             let (end, distinct_k) =
                 ws_iteration_accounting(&dn, &rn, &rows, segments, occupied, n, &mut stats, cycles);
@@ -528,11 +456,7 @@ fn run_weight_stationary(
         stats.iterations += 1;
     }
 
-    if let Some((key, _)) = tile_key {
-        sim.put_key_buf(key);
-    } else {
-        stats.cycles = cycles;
-    }
+    stats.cycles = cycles;
     SparseRun {
         output: out,
         stats,
@@ -543,7 +467,7 @@ fn run_weight_stationary(
 
 /// Functional outputs of one uniform-branch packing iteration, column by
 /// column in the exact engine accumulation order (segment partial sums
-/// applied in packing order) — shared by the cached and uncached walks.
+/// applied in packing order).
 fn uniform_functional(
     out: &mut Matrix,
     bt: &Matrix,
@@ -564,26 +488,11 @@ fn uniform_functional(
     }
 }
 
-/// Stable signature of a packed iteration: which row segments were mapped
-/// and whether each accumulates. Combined with the CSR pattern hash in
-/// the tile key, it pins everything the uniform accounting (and its
-/// distinct-k union) depends on.
-fn segments_signature(segments: &[Segment]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    segments.len().hash(&mut h);
-    for s in segments {
-        (s.row, s.start, s.len, s.accumulate).hash(&mut h);
-    }
-    h.finish()
-}
-
 /// Timing/activity of one uniform-branch packing iteration: stationary
 /// load, the distinct-k union, `n` identical streaming steps charged in
 /// bulk, and the FAN drain. Starts at absolute cycle `cycles` (trace
 /// spans are absolute); returns `(end_cycle, distinct_k)`. Never reads
-/// streaming values — the property that makes the per-iteration records
-/// exact.
+/// streaming values.
 #[allow(clippy::too_many_arguments)]
 fn ws_iteration_accounting(
     dn: &DistributionNetwork,
@@ -848,42 +757,6 @@ mod tests {
         let csr = CsrMatrix::from_dense(&a);
         let run = run_spmm(&cfg, "spmm", &csr, &b, &NaturalOrder);
         assert_slices_close(run.output.as_slice(), spmm_reference(&csr, &b).as_slice());
-    }
-
-    #[test]
-    fn tile_cache_matches_uncached_bitwise() {
-        let a = sparse_a(24, 40, 0.6, 7);
-        let mut rng = SeededRng::new(8);
-        let b = Matrix::random(40, 9, &mut rng);
-        let cfg = AcceleratorConfig::sigma_like(16, 16);
-        let csr = CsrMatrix::from_dense(&a);
-        let off = run_spmm_ctx(
-            &cfg,
-            "spmm",
-            &csr,
-            &b,
-            &NaturalOrder,
-            &SimContext::disabled(),
-        );
-        let shared = SimContext::new();
-        let on = run_spmm_ctx(&cfg, "spmm", &csr, &b, &NaturalOrder, &shared);
-        assert_eq!(off.output, on.output);
-        assert_eq!(off.iterations, on.iterations);
-        let mut stripped = on.stats.clone();
-        stripped.tile_cache_hits = 0;
-        stripped.tile_cache_misses = 0;
-        stripped.tile_cache_assembled = 0;
-        assert_eq!(off.stats, stripped, "only the tile counters may differ");
-        assert!(on.stats.tile_cache_misses > 0);
-        assert_eq!(
-            on.stats.tile_cache_assembled,
-            on.iterations.len() as u64,
-            "one record merge per packing iteration"
-        );
-        let warm = run_spmm_ctx(&cfg, "spmm", &csr, &b, &NaturalOrder, &shared);
-        assert_eq!(warm.stats.tile_cache_misses, 0);
-        assert_eq!(warm.stats.tile_cache_hits, on.stats.tile_cache_assembled);
-        assert_eq!(warm.output, off.output);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! cycle stretches by the shortfall ratio (recorded as bandwidth stalls).
 
 use crate::config::AcceleratorConfig;
-use crate::context::{SimContext, TileRecord};
 use crate::networks::{DistributionNetwork, MultiplierNetwork, ReductionNetwork};
 use crate::stats::SimStats;
 use crate::trace::{Component, Probe};
@@ -42,23 +41,6 @@ pub fn run_gemm(
     a: &Matrix,
     b: &Matrix,
 ) -> (Matrix, SimStats) {
-    run_gemm_ctx(config, operation, a, b, &SimContext::new())
-}
-
-/// [`run_gemm`] threaded through a shared [`SimContext`]: the per-tile
-/// closed-form timing is replayed from (and derived into) the context's
-/// tile cache — a `⌈M/dim⌉·⌈N/dim⌉` grid has at most four distinct
-/// `(tm, tn)` tile classes (full, right-ragged, bottom-ragged, corner),
-/// so warm runs account each tile with one record merge. The functional
-/// GEMM always runs; tracing bypasses the cache (spans carry absolute
-/// cycles).
-pub(crate) fn run_gemm_ctx(
-    config: &AcceleratorConfig,
-    operation: &str,
-    a: &Matrix,
-    b: &Matrix,
-    sim: &SimContext,
-) -> (Matrix, SimStats) {
     assert_eq!(a.cols(), b.rows(), "GEMM inner dimension mismatch");
     let dim = config.pe_dim();
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -78,27 +60,6 @@ pub(crate) fn run_gemm_ctx(
     // Column-contiguous view of B: every PE column's operand stream is a
     // slice, so each PE's MAC sequence is a contiguous dot product.
     let bt = b.transposed();
-
-    // Tile-grain memoization: the closed-form timing of a tile depends
-    // only on its `(tm, tn)` class (plus K and the configuration), so a
-    // grid has at most four records. Tracing bypasses the cache — spans
-    // carry absolute cycles.
-    let use_tiles = sim.tile_cache_enabled() && !crate::trace::is_active();
-    // Key construction uses a pooled buffer (prefix once, then
-    // truncate-and-append per `(tm, tn)` class) so warm lookups are
-    // allocation-free.
-    let mut tile_key = use_tiles.then(|| {
-        use std::fmt::Write as _;
-        let mut key = sim.take_key_buf();
-        let _ = write!(key, "sysarr|");
-        config.write_cfg_string(&mut key);
-        let _ = write!(key, "|k={k}");
-        let prefix_len = key.len();
-        (key, prefix_len)
-    });
-    // A tile grid has at most four `(tm, tn)` classes (interior, ragged
-    // right, ragged bottom, corner), so the class table is a stack array.
-    let mut classes: [Option<(usize, usize, TileRecord)>; 4] = [None, None, None, None];
 
     for tile_i in 0..m.div_ceil(dim) {
         for tile_j in 0..n.div_ceil(dim) {
@@ -131,64 +92,20 @@ pub(crate) fn run_gemm_ctx(
                 }
             }
 
-            if let Some((key, prefix_len)) = &mut tile_key {
-                let record = match classes
-                    .iter()
-                    .flatten()
-                    .find_map(|(cm, cn, r)| (*cm == tm && *cn == tn).then_some(r))
-                {
-                    Some(r) => r.clone(),
-                    None => {
-                        use std::fmt::Write as _;
-                        key.truncate(*prefix_len);
-                        let _ = write!(key, "|tm={tm}|tn={tn}");
-                        let record = if let Some(r) = sim.tile_lookup(key) {
-                            stats.tile_cache_hits += 1;
-                            r
-                        } else {
-                            stats.tile_cache_misses += 1;
-                            let mut local = SimStats::default();
-                            let end = tile_accounting(
-                                config, &dn, &mn, &rn, k, tm, tn, 0, 0, &mut local, 0,
-                            );
-                            local.cycles = end;
-                            let r = TileRecord::new(local);
-                            sim.tile_insert(key, r.clone());
-                            r
-                        };
-                        *classes
-                            .iter_mut()
-                            .find(|slot| slot.is_none())
-                            .expect("a tile grid has at most four (tm, tn) classes") =
-                            Some((tm, tn, record.clone()));
-                        record
-                    }
-                };
-                // Tiles are serialized, so merging duration records in
-                // grid order reproduces the serial walk bitwise.
-                stats.merge(&record.stats);
-                stats.tile_cache_assembled += 1;
-            } else {
-                cycles = tile_accounting(
-                    config, &dn, &mn, &rn, k, tm, tn, tile_i, tile_j, &mut stats, cycles,
-                );
-            }
+            cycles = tile_accounting(
+                config, &dn, &mn, &rn, k, tm, tn, tile_i, tile_j, &mut stats, cycles,
+            );
         }
     }
 
-    if let Some((key, _)) = tile_key {
-        sim.put_key_buf(key);
-    } else {
-        stats.cycles = cycles;
-    }
+    stats.cycles = cycles;
     (out, stats)
 }
 
 /// Closed-form timing/activity of one `(tm, tn)` output tile, starting at
 /// absolute cycle `cycles` (trace spans are absolute); returns the cycle
 /// after the tile's drain. Depends only on the tile class, K, and the
-/// configuration — never on the tile's grid position — which is what
-/// makes the per-class tile records exact.
+/// configuration; the grid position only labels the trace span.
 #[allow(clippy::too_many_arguments)]
 fn tile_accounting(
     config: &AcceleratorConfig,
@@ -322,29 +239,6 @@ mod tests {
             );
             assert_eq!(stats.cycles, expected_cycles(16, m, n, k));
         }
-    }
-
-    #[test]
-    fn tile_cache_matches_uncached_bitwise() {
-        let mut rng = SeededRng::new(10);
-        let a = Matrix::random(7, 21, &mut rng);
-        let b = Matrix::random(21, 9, &mut rng);
-        let cfg = AcceleratorConfig::tpu_like(4);
-        let (off_out, off) = run_gemm_ctx(&cfg, "g", &a, &b, &SimContext::disabled());
-        let shared = SimContext::new();
-        let (on_out, on) = run_gemm_ctx(&cfg, "g", &a, &b, &shared);
-        assert_eq!(off_out.as_slice(), on_out.as_slice());
-        let mut stripped = on.clone();
-        stripped.tile_cache_hits = 0;
-        stripped.tile_cache_misses = 0;
-        stripped.tile_cache_assembled = 0;
-        assert_eq!(off, stripped, "only the tile counters may differ");
-        // A 2×3 ragged grid has exactly four (tm, tn) classes.
-        assert_eq!(on.tile_cache_misses, 4);
-        assert_eq!(on.tile_cache_assembled, 6);
-        let (_, warm) = run_gemm_ctx(&cfg, "g", &a, &b, &shared);
-        assert_eq!(warm.tile_cache_misses, 0, "warm context replays");
-        assert_eq!(warm.tile_cache_hits, 4);
     }
 
     #[test]

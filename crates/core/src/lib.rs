@@ -40,8 +40,8 @@
 //! * [`engine`] — the systolic, flexible and sparse cycle-level engines.
 //! * [`accelerator`] — the composed simulator instance ([`Stonne`]).
 //! * [`cache`] — the layer-simulation memoization cache ([`SimCache`]).
-//! * [`context`] — the tile-grain result cache and pooled engine
-//!   scratch threaded through workers ([`SimContext`]).
+//! * [`context`] — pooled engine scratch threaded through workers, plus
+//!   the flexible engine's class-collapse switch ([`SimContext`]).
 //! * [`predict`] — per-layer feature extraction and the
 //!   [`CyclePredictor`] interface behind the fast-fidelity mode.
 //! * [`store`] — the disk-persistent, content-addressed result store

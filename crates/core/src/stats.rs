@@ -181,17 +181,17 @@ pub struct SimStats {
     /// single-instance runs). Defaults so older summaries still parse.
     #[serde(default)]
     pub dram_contention_cycles: u64,
-    /// Tile-cache hits: per-tile timing records replayed from the
-    /// tile-grain cache ([`crate::SimContext`]) instead of re-derived.
+    /// Filter chunks of a flexible-engine invocation accounted by
+    /// replaying a chunk-width-class record derived earlier in the same
+    /// invocation (0 on the other engines and under
+    /// [`crate::SimContext::disabled`]).
     #[serde(default)]
     pub tile_cache_hits: u64,
-    /// Tile-cache misses: per-tile timing records the engine had to
-    /// derive while tile caching was enabled.
+    /// Chunk-width-class records a flexible-engine invocation derived
+    /// (at most two: full-width and ragged).
     #[serde(default)]
     pub tile_cache_misses: u64,
-    /// Tiles whose timing was assembled from a memoized record (hits and
-    /// misses both feed assembly; this counts the tiles, the other two
-    /// count the distinct records).
+    /// Filter chunks merged from a class record (`hits + misses`).
     #[serde(default)]
     pub tile_cache_assembled: u64,
 }
@@ -231,6 +231,20 @@ impl SimStats {
         if self.accelerator.is_empty() {
             self.accelerator = other.accelerator.clone();
         }
+    }
+
+    /// Zeroes the host-bookkeeping counters — how the result was obtained
+    /// (layer-cache traffic, engine invocations, class-record replay),
+    /// not what the simulated machine did — so two runs can be compared
+    /// for behavioural equality whatever their reuse state.
+    pub fn clear_host_counters(&mut self) {
+        self.sim_cache_hits = 0;
+        self.sim_cache_misses = 0;
+        self.sim_cache_inserts = 0;
+        self.engine_invocations = 0;
+        self.tile_cache_hits = 0;
+        self.tile_cache_misses = 0;
+        self.tile_cache_assembled = 0;
     }
 
     /// Scales the whole record by an integer factor (used when a model

@@ -90,32 +90,17 @@ struct RunPayload {
     /// Simulation-cache snapshot at the boundary
     /// ([`SimCache::export_json`]); empty for uncached runs.
     cache: String,
-    /// Tile-record snapshot at the boundary
-    /// ([`stonne_core::SimContext::export_tiles_json`]). Restoring it
-    /// gives the resumed suffix the same tile cache state the straight
-    /// run had, so the tile hit/miss counters replay identically too.
-    #[serde(default)]
-    tiles: String,
 }
 
-/// A [`SimStats`] clone with the volatile counters zeroed. Cache
-/// hit/miss/insert and engine-invocation counts depend on *how* a
-/// result was obtained (cached, parallel, resumed), not on what the
-/// simulated hardware did, so the state hash excludes them — which is
-/// exactly what makes the hash stable across the serial, wave-parallel
-/// and intra-tile runners.
+/// A [`SimStats`] clone with the host counters zeroed
+/// ([`SimStats::clear_host_counters`]): they depend on *how* a result
+/// was obtained (cached, parallel, resumed), not on what the simulated
+/// hardware did, so the state hash excludes them — which is exactly what
+/// makes the hash stable across the serial, wave-parallel and intra-tile
+/// runners.
 fn canonical_stats(s: &SimStats) -> SimStats {
     let mut s = s.clone();
-    s.sim_cache_hits = 0;
-    s.sim_cache_misses = 0;
-    s.sim_cache_inserts = 0;
-    s.engine_invocations = 0;
-    // Tile-grain counters are volatile for the same reason: under
-    // wave-parallel dispatch the tile hit/miss split depends on which
-    // worker derived a shared record first.
-    s.tile_cache_hits = 0;
-    s.tile_cache_misses = 0;
-    s.tile_cache_assembled = 0;
+    s.clear_host_counters();
     s
 }
 
@@ -142,14 +127,9 @@ fn hash_value(h: &mut StateHash, v: &Value) {
 
 /// FNV-1a over the canonical run state: node values (exact bits),
 /// per-layer stats (volatile counters zeroed), and the verbatim cache
-/// and tile snapshot texts (a tampered tile record would replay wrong
-/// timing into the resumed suffix, so it must fail validation).
-fn state_hash_of(
-    values: &[Value],
-    stats: &[SimStats],
-    cache_snapshot: &str,
-    tiles_snapshot: &str,
-) -> u64 {
+/// snapshot text (a tampered entry would replay wrong timing into the
+/// resumed suffix, so it must fail validation).
+fn state_hash_of(values: &[Value], stats: &[SimStats], cache_snapshot: &str) -> u64 {
     let mut h = StateHash::new();
     h.update_u64(values.len() as u64);
     for v in values {
@@ -160,7 +140,6 @@ fn state_hash_of(
         h.update_str(&serde_json::to_string(&canonical_stats(s)).expect("stats serialize"));
     }
     h.update_str(cache_snapshot);
-    h.update_str(tiles_snapshot);
     h.finish()
 }
 
@@ -169,7 +148,7 @@ fn state_hash_of(
 /// [`ModelRun::state_hash`].
 pub(crate) fn run_state_hash(run: &ModelRun) -> u64 {
     let stats: Vec<SimStats> = run.layers.iter().map(|l| l.stats.clone()).collect();
-    state_hash_of(&run.outputs, &stats, "", "")
+    state_hash_of(&run.outputs, &stats, "")
 }
 
 /// Restores the newest checkpoint in `dir` whose recomputed state hash
@@ -182,7 +161,7 @@ fn restore_latest(
     dir: &Path,
     fingerprint: &str,
     config_sig: &str,
-) -> Option<(Vec<Value>, Vec<SimStats>, usize, usize, String, String)> {
+) -> Option<(Vec<Value>, Vec<SimStats>, usize, usize, String)> {
     let ckpt = Checkpoint::latest_valid(
         dir,
         fingerprint,
@@ -197,7 +176,7 @@ fn restore_latest(
                 else {
                     return false;
                 };
-                state_hash_of(&values, &c.stats, &payload.cache, &payload.tiles) == c.state_hash
+                state_hash_of(&values, &c.stats, &payload.cache) == c.state_hash
             }
             Err(_) => false,
         },
@@ -215,7 +194,6 @@ fn restore_latest(
         ckpt.boundary,
         ckpt.next_node,
         payload.cache,
-        payload.tiles,
     ))
 }
 
@@ -231,14 +209,12 @@ fn write_checkpoint(
     values: &[Value],
     stats: Vec<SimStats>,
     cache: Option<&SimCache>,
-    context: &stonne_core::SimContext,
 ) {
     let payload = RunPayload {
         values: values.iter().map(encode_value).collect(),
         cache: cache.map(SimCache::export_json).unwrap_or_default(),
-        tiles: context.export_tiles_json(),
     };
-    let state_hash = state_hash_of(values, &stats, &payload.cache, &payload.tiles);
+    let state_hash = state_hash_of(values, &stats, &payload.cache);
     let ckpt = Checkpoint {
         schema: CHECKPOINT_SCHEMA.to_owned(),
         fingerprint: fingerprint.to_owned(),
@@ -281,23 +257,17 @@ pub(crate) fn run_checkpointed(
     let ms_size = config.ms_size;
     let cache = options.cache_handle().cloned();
 
-    let context = options.run_context();
     let mut values: Vec<Value> = Vec::with_capacity(model.nodes().len());
     let mut restored_stats: Vec<SimStats> = Vec::new();
     let mut boundary = 0usize;
     let mut start = 0usize;
     if let Some(dir) = options.resume_dir() {
-        if let Some((vals, stats, b, next, cache_snapshot, tiles_snapshot)) =
+        if let Some((vals, stats, b, next, cache_snapshot)) =
             restore_latest(dir, fingerprint, &config_sig)
         {
             if let (Some(cache), false) = (&cache, cache_snapshot.is_empty()) {
                 cache
                     .import_json(&cache_snapshot)
-                    .expect("snapshot validated by state hash");
-            }
-            if !tiles_snapshot.is_empty() {
-                context
-                    .import_tiles_json(&tiles_snapshot)
                     .expect("snapshot validated by state hash");
             }
             values = vals;
@@ -307,11 +277,9 @@ pub(crate) fn run_checkpointed(
         }
     }
 
-    // Context before cache: `with_cache` backs the instance's context
-    // with the cache's disk store (when it has one).
     let mut sim = Stonne::new(config)?
         .with_intra_tiles(options.intra_worker_budget())
-        .with_context(context.clone());
+        .with_context(options.run_context());
     if let Some(cache) = cache.clone() {
         sim = sim.with_cache(cache);
     }
@@ -341,7 +309,6 @@ pub(crate) fn run_checkpointed(
                     &values,
                     stats,
                     cache.as_ref(),
-                    &context,
                 );
             }
         }
@@ -416,20 +383,20 @@ mod tests {
             cycles: 10,
             ..SimStats::default()
         }];
-        let base = state_hash_of(&v, &s, "", "");
-        assert_eq!(base, state_hash_of(&v, &s, "", ""), "deterministic");
+        let base = state_hash_of(&v, &s, "");
+        assert_eq!(base, state_hash_of(&v, &s, ""), "deterministic");
         let mut v2 = v.clone();
         if let Value::Tokens(m) = &mut v2[0] {
             m.set(0, 0, 1.0000001);
         }
-        assert_ne!(base, state_hash_of(&v2, &s, "", ""), "value bits matter");
+        assert_ne!(base, state_hash_of(&v2, &s, ""), "value bits matter");
         let mut s2 = s.clone();
         s2[0].cycles = 11;
-        assert_ne!(base, state_hash_of(&v, &s2, "", ""), "stats matter");
+        assert_ne!(base, state_hash_of(&v, &s2, ""), "stats matter");
         // Volatile counters are canonicalized away.
         let mut s3 = s.clone();
         s3[0].sim_cache_hits = 5;
         s3[0].engine_invocations = 2;
-        assert_eq!(base, state_hash_of(&v, &s3, "", ""), "counters excluded");
+        assert_eq!(base, state_hash_of(&v, &s3, ""), "counters excluded");
     }
 }

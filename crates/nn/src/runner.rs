@@ -223,12 +223,12 @@ impl RunOptions {
         self.predictor.as_ref()
     }
 
-    /// Uses an explicit (possibly shared) [`SimContext`] — tile-grain
-    /// records and pooled scratch buffers survive across runs that share
-    /// it (e.g. every sweep point of a worker). Without this, each run
+    /// Uses an explicit (possibly shared) [`SimContext`] — its pooled
+    /// scratch buffers survive across runs that share it (e.g. every
+    /// sweep point of a worker), and [`SimContext::disabled`] selects the
+    /// flexible engine's plain per-chunk walk. Without this, each run
     /// creates one context and shares it across all of its own simulator
-    /// instances. Contexts never change results — only how much work is
-    /// re-derived.
+    /// instances. Contexts never change results.
     #[must_use]
     pub fn with_context(mut self, context: SimContext) -> Self {
         self.context = Some(context);
@@ -365,8 +365,6 @@ pub fn run_model_simulated_with(
             energy_model,
         );
     }
-    // Context before cache: `with_cache` backs the instance's context
-    // with the cache's disk store (when it has one).
     let mut sim = Stonne::new(config)?
         .with_intra_tiles(options.intra_worker_budget())
         .with_context(options.run_context());
@@ -421,7 +419,7 @@ fn run_parallel_waves(
         .unwrap_or_else(|e| panic!("invalid graph: {e}"));
     let n = model.nodes().len();
     // One context for the whole run: every per-op instance below shares
-    // its tile records and scratch pool instead of rebuilding them.
+    // its scratch pool instead of rebuilding it.
     let context = options.run_context();
     let mut values: Vec<Option<Value>> = vec![None; n];
     let mut node_stats: Vec<Vec<SimStats>> = vec![Vec::new(); n];

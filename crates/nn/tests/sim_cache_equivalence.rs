@@ -4,20 +4,14 @@
 //! run performs far fewer cycle-level engine invocations.
 
 use std::sync::Arc;
-use stonne_core::{summary_json, AcceleratorConfig, NaturalOrder, SimCache, SimStats};
+use stonne_core::{summary_json, AcceleratorConfig, NaturalOrder, SimCache, SimContext, SimStats};
 use stonne_models::{zoo, ModelId, ModelScale};
 use stonne_nn::params::{generate_input, ModelParams};
 use stonne_nn::runner::{run_model_simulated_with, ModelRun, RunOptions};
 
-/// Zeroes the cache bookkeeping fields so stats compare field-by-field.
+/// Zeroes the host bookkeeping fields so stats compare field-by-field.
 fn strip_cache_counters(mut s: SimStats) -> SimStats {
-    s.sim_cache_hits = 0;
-    s.sim_cache_misses = 0;
-    s.sim_cache_inserts = 0;
-    s.engine_invocations = 0;
-    s.tile_cache_hits = 0;
-    s.tile_cache_misses = 0;
-    s.tile_cache_assembled = 0;
+    s.clear_host_counters();
     s
 }
 
@@ -157,4 +151,40 @@ fn shared_cache_carries_across_runs() {
     assert_eq!(second.total.engine_invocations, 0, "all layers replay");
     assert_eq!(second.total.sim_cache_hits, second.layers.len() as u64);
     assert_eq!(cache.len(), entries_after_first, "no new entries");
+}
+
+#[test]
+fn class_collapse_is_invisible_on_a_depthwise_model() {
+    // The model-level on/off check: MobileNet's depthwise groups make
+    // many small flexible-engine invocations per layer, with and without
+    // a ragged last chunk.
+    let config = AcceleratorConfig::maeri_like(64, 16);
+    let model = zoo::build(ModelId::MobileNetV1, ModelScale::Tiny);
+    let params = ModelParams::generate(&model, 21);
+    let input = generate_input(&model, 22);
+    let run = |options: RunOptions| {
+        run_model_simulated_with(
+            &model,
+            &params,
+            &input,
+            config.clone(),
+            Arc::new(NaturalOrder),
+            options,
+        )
+        .expect("valid preset")
+    };
+    let plain = run(RunOptions::new()
+        .uncached()
+        .with_context(SimContext::disabled()));
+    let collapsed = run(RunOptions::new().uncached());
+    assert_equivalent(&plain, &collapsed, "collapse-off-vs-on");
+    assert_eq!(plain.state_hash(), collapsed.state_hash());
+    assert_eq!(
+        plain.total.tile_cache_assembled, 0,
+        "plain walk counts nothing"
+    );
+    assert!(
+        collapsed.total.tile_cache_hits > 0,
+        "chunks replay a class record"
+    );
 }

@@ -298,9 +298,9 @@ pub fn run_point(point: &SweepPoint, cache: &SimCache) -> Result<(PointResult, S
 }
 
 /// [`run_point`] threaded through a shared [`SimContext`]: the job
-/// executor passes its per-job context so tile-grain records and pooled
-/// engine scratch survive across the points of a sweep instead of being
-/// torn down with each point's simulator instances.
+/// executor passes its per-job context so pooled engine scratch survives
+/// across the points of a sweep instead of being torn down with each
+/// point's simulator instances.
 ///
 /// # Errors
 ///

@@ -117,9 +117,9 @@ pub struct Job {
     changed: Condvar,
     /// Per-job cache: fresh memory, shared disk (see module docs).
     cache: SimCache,
-    /// Per-job simulation context: tile-grain records and pooled engine
-    /// scratch shared by every worker running this job's points (and by
-    /// the frontier re-score), instead of being torn down per point.
+    /// Per-job simulation context: pooled engine scratch shared by every
+    /// worker running this job's points (and by the frontier re-score),
+    /// instead of being torn down per point.
     context: SimContext,
     /// Scoped store handle whose counters are this job's alone.
     store: Option<DiskStore>,
@@ -138,12 +138,8 @@ impl Job {
         let crate::api::Expansion { points, collapsed } = expansion;
         let scoped = store.map(DiskStore::scoped);
         let mut cache = SimCache::new();
-        let context = SimContext::new();
         if let Some(s) = &scoped {
             cache = cache.backed_by(s.clone());
-            // Tile records share the job's scoped store (blob channel
-            // `tiles`), so warm sweeps reuse them across processes.
-            context.attach_store(s);
         }
         let progress = Progress {
             results: vec![None; points.len()],
@@ -157,7 +153,7 @@ impl Job {
             progress: Mutex::new(progress),
             changed: Condvar::new(),
             cache,
-            context,
+            context: SimContext::new(),
             store: scoped,
             fast: parse_fidelity(&request.fidelity).unwrap_or(false),
         }

@@ -89,6 +89,23 @@ fn repeated_sweeps_are_bitwise_identical_and_store_served() {
     assert!(counter(&cold_status, "counters", "engine_invocations") > 0);
     assert!(counter(&cold_status, "store", "writes") > 0);
 
+    // --- Store footprint: layer entries (two workers may write the same
+    // one) plus one whole-point blob per point, and nothing else. ---
+    let namespace = DiskStore::open(&dir).expect("open store").dir().to_owned();
+    let (mut entry_files, mut subdirs) = (0u64, Vec::new());
+    for entry in std::fs::read_dir(&namespace).expect("store namespace") {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            subdirs.push(path.file_name().unwrap().to_string_lossy().into_owned());
+        } else {
+            entry_files += 1;
+        }
+    }
+    assert_eq!(subdirs, ["points"], "the only blob channel is `points`");
+    assert!(entry_files <= counter(&cold_status, "store", "writes"));
+    let point_blobs = std::fs::read_dir(namespace.join("points")).unwrap().count();
+    assert_eq!(point_blobs, cold_lines.len(), "one blob per point");
+
     // --- Warm sweep on the same server: a fresh job sees nothing in
     // memory, but every finished point was persisted whole, so the job
     // resumes from per-point checkpoints without touching an engine. ---

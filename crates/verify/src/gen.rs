@@ -79,10 +79,9 @@ pub enum Workload {
         /// GEMM K.
         k: usize,
     },
-    /// Tile-cache ON vs OFF on one architecture: outputs, statistics
-    /// (tile bookkeeping stripped), cycle breakdown, and the cycle-level
-    /// trace must be byte-identical, and a warm shared context must
-    /// replay tiles without re-deriving them.
+    /// Width-class collapse ON vs OFF on one architecture: outputs,
+    /// statistics (class bookkeeping stripped), cycle breakdown, and the
+    /// cycle-level trace must be byte-identical.
     TileCacheBitwise {
         /// Architecture selector, as in [`Workload::CacheReplay`].
         arch: u8,

@@ -15,8 +15,8 @@
 #   tools/offline-check.sh                 # cargo check --workspace --all-targets
 #   tools/offline-check.sh test -q         # cargo test -q (offline, stubbed)
 #   tools/offline-check.sh clippy -- -D warnings
-#   tools/offline-check.sh ci              # the full .github/workflows/ci.yml
-#                                          # command sequence, offline
+#   tools/offline-check.sh ci              # the gating steps of
+#                                          # .github/workflows/ci.yml, offline
 #   tools/offline-check.sh serve           # the sweep-server acceptance test
 #                                          # (mirrors CI's `serve` job)
 #   tools/offline-check.sh cluster         # the fixed-seed cluster scenario
@@ -66,9 +66,14 @@ if [ "$#" -eq 0 ]; then
     set -- check --workspace --all-targets
 fi
 
-# `ci` runs the same command sequence as .github/workflows/ci.yml (minus
-# the MSRV matrix, which needs a second toolchain) so a green local run
-# predicts a green CI run instead of drifting from it.
+# `ci` runs the gating steps of .github/workflows/ci.yml job by job —
+# lint, build-test, verify, serve, cluster, predict — so a green local
+# run predicts a green CI run instead of drifting from it. Left out:
+# the MSRV matrix and the aarch64/cross legs (second toolchain or host),
+# the non-gating perf job, artifact uploads, and the repeat runs whose
+# check another step here already makes (verify's second campaign run is
+# covered by the shard/merge byte-diff, predict's second training by the
+# byte-compare against the committed artifacts).
 if [ "$1" = "ci" ]; then
     run() { echo "offline-check: $*" >&2; "$@"; }
     run cargo --offline fmt --all --check
@@ -80,9 +85,6 @@ if [ "$1" = "ci" ]; then
     run cargo --offline build --release --workspace
     run cargo --offline test -q --workspace --no-fail-fast
     run cargo --offline test --release -p stonne-verify --test golden_fixtures
-    # Tile-grain memoization must be invisible: the golden fixtures have
-    # to reproduce byte-identically with the tile cache forced off too.
-    run env STONNE_TILE_CACHE=0 cargo --offline test --release -p stonne-verify --test golden_fixtures
     run cargo --offline run --release -p stonne-verify -- --samples 200 --seed 7
     # The nightly shard/merge protocol, at PR scale: two CLI shards of
     # the seed-7 campaign must merge to the byte-identical report the
