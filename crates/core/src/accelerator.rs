@@ -4,19 +4,32 @@
 use crate::cache::{CacheEntry, CacheKey, SimCache};
 use crate::config::{AcceleratorConfig, ConfigError, ControllerKind, DnKind};
 use crate::context::SimContext;
-use crate::engine::flexible::{replay_dense, run_dense_ctx, DenseOperand};
-use crate::engine::sparse::{
-    dispatches_input_stationary, replay_spmm, run_spmm, NaturalOrder, RowSchedule, SparseRun,
-};
+use crate::engine::flexible::{self, DenseOperand};
+use crate::engine::sparse::{self, IterationInfo, NaturalOrder, RowSchedule, SparseRun};
 use crate::engine::{conv_operand, pool, systolic};
 use crate::mapping::{LayerDims, Tile};
 use crate::predict::{predicted_stats, CyclePredictor, LayerFeatures};
 use crate::stats::SimStats;
 use crate::trace::{Component, Probe};
 use std::sync::Arc;
-use stonne_tensor::{
-    col2im_output, gemm_reference, maxpool2d_reference, Conv2dGeom, CsrMatrix, Matrix, Tensor4,
-};
+use stonne_tensor::{col2im_output, Conv2dGeom, CsrMatrix, Matrix, Tensor4};
+
+/// A layer's accounting record — everything an engine invocation yields
+/// besides the output, and what a cache entry memoizes: the statistics
+/// and the sparse packing info.
+type Accounting = (SimStats, Vec<IterationInfo>);
+
+/// The record of an engine without packing info.
+fn plain(stats: SimStats) -> Accounting {
+    (stats, Vec::new())
+}
+
+/// A layer's features with the multiplier count a predicted record
+/// reports for it: its MACs.
+fn with_macs(features: LayerFeatures) -> (LayerFeatures, u64) {
+    let macs = features.macs;
+    (features, macs)
+}
 
 /// A simulated DNN inference accelerator instance.
 ///
@@ -86,13 +99,12 @@ impl Stonne {
         &self.context
     }
 
-    /// Fans the flexible dense engine's independent filter chunks across
-    /// up to `workers` OS threads. Chunks write disjoint output-row blocks
-    /// and their stats merge in chunk order, so results are bitwise
-    /// identical to the serial walk — this is a host-side speed knob, not
-    /// a simulated-hardware parameter (it does not enter cache keys).
-    /// `workers <= 1` keeps the serial path; the knob is also ignored
-    /// while a trace is being recorded (the collector is thread-local).
+    /// Fans the flexible dense engine's output pass across up to
+    /// `workers` OS threads. Filter chunks write disjoint output-row
+    /// blocks and the accounting walk stays on the calling thread, so
+    /// results are bitwise identical to the serial run — this is a
+    /// host-side speed knob, not a simulated-hardware parameter (it does
+    /// not enter cache keys). `workers <= 1` keeps the serial path.
     #[must_use]
     pub fn with_intra_tiles(mut self, workers: usize) -> Self {
         self.intra_workers = workers.max(1);
@@ -100,9 +112,11 @@ impl Stonne {
     }
 
     /// Attaches a [`SimCache`]: engine invocations whose canonical key is
-    /// already memoized are replayed (bitwise-identical stats and output)
-    /// instead of re-simulated. The cache is shared — clone one handle
-    /// across instances to share results between them.
+    /// already memoized reuse the memoized statistics instead of walking
+    /// the engine again (the output is computed by the same functional
+    /// kernel either way, so both are bitwise identical). The cache is
+    /// shared — clone one handle across instances to share results
+    /// between them.
     #[must_use]
     pub fn with_cache(mut self, cache: SimCache) -> Self {
         self.cache = Some(cache);
@@ -111,8 +125,9 @@ impl Stonne {
 
     /// Attaches a [`CyclePredictor`] (fast fidelity): engine invocations
     /// are replaced by a learned cycle estimate over the operation's
-    /// [`LayerFeatures`]. Functional outputs come from the reference
-    /// kernels and DRAM stalls still apply; the stats invariants hold
+    /// [`LayerFeatures`]. Functional outputs come from the engines'
+    /// functional kernels (bitwise identical to an exact run) and DRAM
+    /// stalls still apply; the stats invariants hold
     /// (breakdown sums to `cycles`, `engine_invocations` is 0) but the
     /// cycle counts are *approximations* — see `docs/PREDICT.md`. The
     /// simulation cache is bypassed entirely: predicted results are
@@ -194,168 +209,113 @@ impl Stonne {
         stats.counters.dram_writes += output_elems;
     }
 
-    /// Runs the systolic engine through the memoization cache: on a hit
-    /// the stats are reused and the output recomputed in the engine's
-    /// accumulation order (which equals the reference GEMM's — K is never
-    /// tiled and each output accumulates k-ascending from zero).
-    fn cached_systolic(&mut self, name: &str, a: &Matrix, b: &Matrix) -> (Matrix, SimStats) {
-        if let Some(p) = self.predictor.clone() {
-            let f = LayerFeatures::systolic(&self.config, a.rows(), b.cols(), a.cols());
-            let stats = predicted_stats(&self.config, name, p.predict_cycles(&f), f.macs);
-            return (gemm_reference(a, b), stats);
+    /// Resolves a layer's accounting record — the one place that decides
+    /// whether the cycle-level walk runs: a predictor replaces it by an
+    /// estimate over `features` (never memoized; the closure also names
+    /// the multiplier count the record reports), without a cache it
+    /// always runs, a cache hit on `key` reuses the memoized record, and a
+    /// miss runs `walk` and memoizes the result together with the
+    /// mapper's `input_stationary` choice. The output is not this
+    /// function's business: every caller computes it by the engine's
+    /// `functional` half, so all four outcomes yield the same bits.
+    fn accounting(
+        &self,
+        name: &str,
+        input_stationary: bool,
+        features: impl FnOnce() -> (LayerFeatures, u64),
+        key: impl FnOnce() -> CacheKey,
+        walk: impl FnOnce() -> Accounting,
+    ) -> Accounting {
+        if let Some(p) = &self.predictor {
+            let (f, macs) = features();
+            let cycles = p.predict_cycles(&f);
+            return plain(predicted_stats(&self.config, name, cycles, macs));
         }
-        let Some(cache) = self.cache.clone() else {
-            let (out, mut stats) = systolic::run_gemm(&self.config, name, a, b);
-            stats.engine_invocations = 1;
-            return (out, stats);
+        // The key of the entry to insert after a miss (`None`: no cache).
+        let miss = match &self.cache {
+            None => None,
+            Some(cache) => {
+                let key = key();
+                if let Some(entry) = cache.get(&key) {
+                    let stats = entry.stats_for(name);
+                    Probe::new(Component::Controller).span("cache-hit", 0, stats.cycles);
+                    return (stats, entry.iterations().to_vec());
+                }
+                Some((cache, key))
+            }
         };
-        let key = CacheKey::systolic(&self.config, a.rows(), b.cols(), a.cols());
-        if let Some(entry) = cache.get(&key) {
-            let stats = entry.stats_for(name);
-            Probe::new(Component::Controller).span("cache-hit", 0, stats.cycles);
-            return (gemm_reference(a, b), stats);
-        }
-        let (out, mut stats) = systolic::run_gemm(&self.config, name, a, b);
+        let (mut stats, iterations) = walk();
         stats.engine_invocations = 1;
-        stats.sim_cache_misses = 1;
-        stats.sim_cache_inserts = 1;
-        cache.insert(key, CacheEntry::new(name, &stats, &[], false));
+        if let Some((cache, key)) = miss {
+            stats.sim_cache_misses = 1;
+            stats.sim_cache_inserts = 1;
+            let entry = CacheEntry::new(name, &stats, &iterations, input_stationary);
+            cache.insert(key, entry);
+        }
+        (stats, iterations)
+    }
+
+    /// One systolic-engine layer (pre-DRAM stats).
+    fn systolic_layer(&self, name: &str, a: &Matrix, b: &Matrix) -> (Matrix, SimStats) {
+        let out = systolic::functional(&self.config, a, b);
+        let (m, n, k) = (a.rows(), b.cols(), a.cols());
+        let (stats, _) = self.accounting(
+            name,
+            false,
+            || with_macs(LayerFeatures::systolic(&self.config, m, n, k)),
+            || CacheKey::systolic(&self.config, m, n, k),
+            || plain(systolic::accounting(&self.config, name, m, n, k)),
+        );
         (out, stats)
     }
 
-    /// Runs the flexible dense engine through the memoization cache.
-    fn cached_dense(
-        &mut self,
+    /// One flexible-dense-engine layer (pre-DRAM stats).
+    fn dense_layer(
+        &self,
         name: &str,
         layer: &LayerDims,
         tile: &Tile,
         operand: &DenseOperand,
     ) -> (Matrix, SimStats) {
-        let workers = self.intra_workers;
-        if let Some(p) = self.predictor.clone() {
-            let f = LayerFeatures::dense(&self.config, layer, tile, operand);
-            let stats = predicted_stats(&self.config, name, p.predict_cycles(&f), f.macs);
-            // Replay in the engine's accumulation order, like a cache
-            // hit: fast and exact runs stay bitwise-identical.
-            return (replay_dense(&self.config, tile, operand), stats);
-        }
-        let Some(cache) = self.cache.clone() else {
-            let (out, mut stats) = run_dense_ctx(
-                &self.config,
-                name,
-                layer,
-                tile,
-                operand,
-                workers,
-                &self.context,
-            );
-            stats.engine_invocations = 1;
-            return (out, stats);
-        };
-        let key = CacheKey::dense(&self.config, layer, tile, operand);
-        if let Some(entry) = cache.get(&key) {
-            let stats = entry.stats_for(name);
-            Probe::new(Component::Controller).span("cache-hit", 0, stats.cycles);
-            return (replay_dense(&self.config, tile, operand), stats);
-        }
-        let (out, mut stats) = run_dense_ctx(
-            &self.config,
+        let (config, sim) = (&self.config, &self.context);
+        let out = flexible::functional(config, tile, operand, self.intra_workers, sim);
+        let (stats, _) = self.accounting(
             name,
-            layer,
-            tile,
-            operand,
-            workers,
-            &self.context,
+            false,
+            || with_macs(LayerFeatures::dense(config, layer, tile, operand)),
+            || CacheKey::dense(config, layer, tile, operand),
+            || {
+                plain(flexible::accounting(
+                    config, name, layer, tile, operand, sim,
+                ))
+            },
         );
-        stats.engine_invocations = 1;
-        stats.sim_cache_misses = 1;
-        stats.sim_cache_inserts = 1;
-        cache.insert(key, CacheEntry::new(name, &stats, &[], false));
         (out, stats)
     }
 
-    /// Runs the sparse engine through the memoization cache.
-    fn cached_spmm(
-        &mut self,
+    /// One sparse-engine layer (pre-DRAM stats).
+    fn spmm_layer(
+        &self,
         name: &str,
         a: &CsrMatrix,
         b: &Matrix,
         schedule: &dyn RowSchedule,
     ) -> SparseRun {
-        if let Some(p) = self.predictor.clone() {
-            let f = LayerFeatures::spmm(&self.config, a, b, schedule);
-            let stats = predicted_stats(&self.config, name, p.predict_cycles(&f), f.macs);
-            // Mirror the mapper's dataflow choice so the replayed output
-            // accumulates in the engine's order (bitwise-identical to an
-            // exact run), like a cache hit.
-            let is = dispatches_input_stationary(&self.config, a, b.cols(), schedule);
-            return SparseRun {
-                output: replay_spmm(&self.config, a, b, schedule, is),
-                stats,
-                iterations: Vec::new(),
-                input_stationary: is,
-            };
-        }
-        let Some(cache) = self.cache.clone() else {
-            let mut run = run_spmm(&self.config, name, a, b, schedule);
-            run.stats.engine_invocations = 1;
-            return run;
-        };
-        let key = CacheKey::spmm(&self.config, a, b, schedule);
-        if let Some(entry) = cache.get(&key) {
-            let stats = entry.stats_for(name);
-            Probe::new(Component::Controller).span("cache-hit", 0, stats.cycles);
-            return SparseRun {
-                output: replay_spmm(&self.config, a, b, schedule, entry.input_stationary()),
-                stats,
-                iterations: entry.iterations().to_vec(),
-                input_stationary: entry.input_stationary(),
-            };
-        }
-        let mut run = run_spmm(&self.config, name, a, b, schedule);
-        run.stats.engine_invocations = 1;
-        run.stats.sim_cache_misses = 1;
-        run.stats.sim_cache_inserts = 1;
-        cache.insert(
-            key,
-            CacheEntry::new(name, &run.stats, &run.iterations, run.input_stationary),
+        let plan = sparse::Plan::new(&self.config, a, b.cols(), schedule);
+        let output = sparse::functional(&plan, b);
+        let (stats, iterations) = self.accounting(
+            name,
+            plan.input_stationary(),
+            || with_macs(LayerFeatures::spmm(&self.config, a, b, schedule)),
+            || CacheKey::spmm(&self.config, a, b, schedule),
+            || sparse::accounting(&self.config, name, &plan, b),
         );
-        run
-    }
-
-    /// Runs the pooling engine through the memoization cache (stats depend
-    /// only on shape; the output is always the reference max-pool).
-    fn cached_maxpool(
-        &mut self,
-        name: &str,
-        input: &Tensor4,
-        window: usize,
-        stride: usize,
-    ) -> (Tensor4, SimStats) {
-        if let Some(p) = self.predictor.clone() {
-            let f = LayerFeatures::pool(&self.config, input, window, stride);
-            // Pool performs comparisons, not MACs; the multiplier
-            // counter stays 0 like the engine's.
-            let stats = predicted_stats(&self.config, name, p.predict_cycles(&f), 0);
-            return (maxpool2d_reference(input, window, stride), stats);
+        SparseRun {
+            output,
+            stats,
+            iterations,
+            input_stationary: plan.input_stationary(),
         }
-        let Some(cache) = self.cache.clone() else {
-            let (out, mut stats) = pool::run_maxpool(&self.config, name, input, window, stride);
-            stats.engine_invocations = 1;
-            return (out, stats);
-        };
-        let key = CacheKey::pool(&self.config, input, window, stride);
-        if let Some(entry) = cache.get(&key) {
-            let stats = entry.stats_for(name);
-            Probe::new(Component::Controller).span("cache-hit", 0, stats.cycles);
-            return (maxpool2d_reference(input, window, stride), stats);
-        }
-        let (out, mut stats) = pool::run_maxpool(&self.config, name, input, window, stride);
-        stats.engine_invocations = 1;
-        stats.sim_cache_misses = 1;
-        stats.sim_cache_inserts = 1;
-        cache.insert(key, CacheEntry::new(name, &stats, &[], false));
-        (out, stats)
     }
 
     /// Runs a dense GEMM `C = A (M×K) × B (K×N)`.
@@ -380,7 +340,7 @@ impl Stonne {
     ) -> (Matrix, SimStats) {
         if self.config.controller == ControllerKind::Sparse {
             let csr = CsrMatrix::from_dense(a);
-            let run = self.cached_spmm(name, &csr, b, schedule);
+            let run = self.spmm_layer(name, &csr, b, schedule);
             let operand_elems = (csr.storage_elements() + b.len()) as u64;
             let out_elems = (a.rows() * b.cols()) as u64;
             let stats = self.record(run.stats, operand_elems, out_elems);
@@ -449,20 +409,20 @@ impl Stonne {
         let out_elems = (a.rows() * b.cols()) as u64;
         match (self.config.controller, self.config.dn) {
             (ControllerKind::Dense, DnKind::PointToPoint) => {
-                let (out, stats) = self.cached_systolic(name, a, b);
+                let (out, stats) = self.systolic_layer(name, a, b);
                 let stats = self.record(stats, operand_elems, out_elems);
                 (out, stats)
             }
             (ControllerKind::Dense, _) => {
                 let layer = LayerDims::from_gemm(a.rows(), b.cols(), a.cols());
                 let operand = DenseOperand::from_gemm(a.clone(), b.clone());
-                let (out, stats) = self.cached_dense(name, &layer, tile, &operand);
+                let (out, stats) = self.dense_layer(name, &layer, tile, &operand);
                 let stats = self.record(stats, operand_elems, out_elems);
                 (out, stats)
             }
             (ControllerKind::Sparse, _) => {
                 let csr = CsrMatrix::from_dense(a);
-                let run = self.cached_spmm(name, &csr, b, &NaturalOrder);
+                let run = self.spmm_layer(name, &csr, b, &NaturalOrder);
                 let operand_elems = (csr.storage_elements() + b.len()) as u64;
                 let stats = self.record(run.stats, operand_elems, out_elems);
                 (run.output, stats)
@@ -491,7 +451,7 @@ impl Stonne {
     ) -> SparseRun {
         match self.config.controller {
             ControllerKind::Sparse => {
-                let run = self.cached_spmm(name, a, b, schedule);
+                let run = self.spmm_layer(name, a, b, schedule);
                 let operand_elems = (a.storage_elements() + b.len()) as u64;
                 let out_elems = (a.rows() * b.cols()) as u64;
                 let stats = self.record(run.stats.clone(), operand_elems, out_elems);
@@ -650,7 +610,7 @@ impl Stonne {
             }
         }
         let csr = CsrMatrix::from_dense(&bd);
-        let run = self.cached_spmm(name, &csr, &inputs, schedule);
+        let run = self.spmm_layer(name, &csr, &inputs, schedule);
         let out_elems = (geom.out_c * n_cols) as u64;
         let in_elems = (csr.storage_elements() + input.len()) as u64;
         let stats = self.record(run.stats, in_elems, out_elems);
@@ -688,7 +648,7 @@ impl Stonne {
                 let operand = conv_operand(input, weights, geom, g);
                 let out_elems = (operand.weights.rows() * operand.inputs.cols()) as u64;
                 let in_elems = (operand.weights.len() + operand.inputs.len()) as u64;
-                let (out, stats) = self.cached_systolic(name, &operand.weights, &operand.inputs);
+                let (out, stats) = self.systolic_layer(name, &operand.weights, &operand.inputs);
                 let stats = self.record(stats, in_elems, out_elems);
                 (out, stats)
             }
@@ -706,14 +666,14 @@ impl Stonne {
                 });
                 let out_elems = (operand.weights.rows() * operand.inputs.cols()) as u64;
                 let in_elems = (operand.weights.len() + input.len() / geom.groups) as u64;
-                let (out, stats) = self.cached_dense(name, &group_layer, &tile, &operand);
+                let (out, stats) = self.dense_layer(name, &group_layer, &tile, &operand);
                 let stats = self.record(stats, in_elems, out_elems);
                 (out, stats)
             }
             (ControllerKind::Sparse, _) => {
                 let operand = conv_operand(input, weights, geom, g);
                 let csr = CsrMatrix::from_dense(&operand.weights);
-                let run = self.cached_spmm(name, &csr, &operand.inputs, schedule);
+                let run = self.spmm_layer(name, &csr, &operand.inputs, schedule);
                 let out_elems = (csr.rows() * operand.inputs.cols()) as u64;
                 let in_elems = (csr.storage_elements() + input.len() / geom.groups) as u64;
                 let stats = self.record(run.stats, in_elems, out_elems);
@@ -769,7 +729,16 @@ impl Stonne {
         window: usize,
         stride: usize,
     ) -> (Tensor4, SimStats) {
-        let (out, stats) = self.cached_maxpool(name, input, window, stride);
+        let out = pool::functional(input, window, stride);
+        let (stats, _) = self.accounting(
+            name,
+            false,
+            // Pool performs comparisons, not MACs: the multiplier counter
+            // stays 0 like the engine's.
+            || (LayerFeatures::pool(&self.config, input, window, stride), 0),
+            || CacheKey::pool(&self.config, input, window, stride),
+            || plain(pool::accounting(&self.config, name, out.len(), window)),
+        );
         let in_elems = input.len() as u64;
         let out_elems = out.len() as u64;
         let stats = self.record(stats, in_elems, out_elems);
@@ -984,47 +953,87 @@ mod tests {
         assert!(stats.cycles > 0);
     }
 
-    /// Zeroes the cache bookkeeping so cached and uncached stats can be
-    /// compared field-by-field.
-    fn strip_cache_counters(mut s: SimStats) -> SimStats {
-        s.clear_host_counters();
-        s
+    /// Cycle-per-MAC toy predictor for the fast-fidelity tests.
+    #[derive(Debug)]
+    struct MacRate(u64);
+    impl crate::predict::CyclePredictor for MacRate {
+        fn predict_cycles(&self, f: &crate::predict::LayerFeatures) -> u64 {
+            f.macs / self.0 + 5
+        }
+    }
+
+    /// A random matrix, zeroed where `(r + c) % period == 0` (0: dense).
+    fn masked(rows: usize, cols: usize, period: usize, rng: &mut SeededRng) -> Matrix {
+        let mut m = Matrix::random(rows, cols, rng);
+        for (r, c) in (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c))) {
+            if period > 0 && (r + c) % period == 0 {
+                m.set(r, c, 0.0);
+            }
+        }
+        m
     }
 
     #[test]
     fn cache_hits_are_bitwise_identical_on_all_presets() {
-        let mut rng = SeededRng::new(9);
-        let a = Matrix::random(10, 20, &mut rng);
-        let b = Matrix::random(20, 6, &mut rng);
-        // Same shape and (for the sparse preset) same all-dense pattern,
-        // but different values — the cache must still hit and the replayed
-        // output must match a fresh simulation bit for bit.
-        let a2 = Matrix::random(10, 20, &mut rng);
-        let b2 = Matrix::random(20, 6, &mut rng);
-        for cfg in presets() {
-            let cache = crate::cache::SimCache::new();
-            let mut sim = Stonne::new(cfg.clone()).unwrap().with_cache(cache.clone());
-            let (_, miss) = sim.run_gemm("g1", &a, &b);
-            assert_eq!(miss.sim_cache_misses, 1, "{}", cfg.name);
-            assert_eq!(miss.sim_cache_inserts, 1);
-            assert_eq!(miss.engine_invocations, 1);
-            let (hit_out, hit) = sim.run_gemm("g2", &a2, &b2);
-            assert_eq!(hit.sim_cache_hits, 1, "{}", cfg.name);
-            assert_eq!(hit.engine_invocations, 0);
-            let mut fresh = Stonne::new(cfg.clone()).unwrap();
-            let (ref_out, ref_stats) = fresh.run_gemm("g2", &a2, &b2);
-            assert_eq!(
-                hit_out.as_slice(),
-                ref_out.as_slice(),
-                "{}: cached output must be bitwise identical",
-                cfg.name
-            );
-            assert_eq!(
-                strip_cache_counters(hit),
-                strip_cache_counters(ref_stats),
-                "{}: cached stats must match a fresh run",
-                cfg.name
-            );
+        use crate::config::Dataflow;
+        let with_dataflow = |dataflow| AcceleratorConfig {
+            dataflow,
+            ..AcceleratorConfig::maeri_like(64, 16)
+        };
+        let dual = AcceleratorConfig {
+            exploit_activation_sparsity: true,
+            ..AcceleratorConfig::sigma_like(64, 8)
+        };
+        // (config, M, K, N, zero period of the stationary operand, of the
+        // streaming one): the presets, the flexible engine's other
+        // dataflows, folding sparse rows (K = 100 on 32 multipliers), the
+        // sparse GEMV (input-stationary) mapping, activation sparsity.
+        let mut cases: Vec<_> = presets()
+            .into_iter()
+            .map(|cfg| (cfg, 10, 20, 6, 0, 0))
+            .collect();
+        cases.extend([
+            (with_dataflow(Dataflow::OutputStationary), 7, 37, 11, 0, 0),
+            (with_dataflow(Dataflow::InputStationary), 7, 37, 11, 0, 0),
+            (AcceleratorConfig::sigma_like(32, 32), 12, 100, 5, 2, 0),
+            (AcceleratorConfig::sigma_like(128, 128), 64, 32, 1, 3, 0),
+            (dual, 16, 32, 16, 2, 2),
+        ]);
+        for (seed, (cfg, m, k, n, a_zeros, b_zeros)) in cases.into_iter().enumerate() {
+            let label = format!("{} {m}x{k}x{n} {:?}", cfg.name, cfg.dataflow);
+            let mut rng = SeededRng::new(90 + seed as u64);
+            // Two operand pairs of one shape and zero structure but
+            // different values: the second must hit the first's entry.
+            let [a, a2] = [0; 2].map(|_| masked(m, k, a_zeros, &mut rng));
+            let [b, b2] = [0; 2].map(|_| masked(k, n, b_zeros, &mut rng));
+            let sim = || Stonne::new(cfg.clone()).unwrap();
+            let cached = || sim().with_cache(crate::cache::SimCache::new());
+
+            let (ref_out, mut reference) = sim().run_gemm("g2", &a2, &b2);
+            assert_eq!(reference.engine_invocations, 1, "{label}");
+            assert!(n > 1 || reference.operation.ends_with("[IS]"), "{label}");
+            let (miss_out, miss) = cached().run_gemm("g2", &a2, &b2);
+            assert_eq!(miss.sim_cache_misses, 1, "{label}");
+            assert_eq!(miss.sim_cache_inserts, 1, "{label}");
+            assert_eq!(miss.engine_invocations, 1, "{label}");
+            let mut warm = cached();
+            warm.run_gemm("g1", &a, &b);
+            let (hit_out, hit) = warm.run_gemm("g2", &a2, &b2);
+            assert_eq!(hit.sim_cache_hits, 1, "{label}");
+            assert_eq!(hit.engine_invocations, 0, "{label}");
+            let mut fast = sim().with_predictor(Arc::new(MacRate(8)));
+            let (fast_out, _) = fast.run_gemm("g2", &a2, &b2);
+
+            // Output bits across uncached / miss / hit / predicted; stats
+            // across uncached / miss / hit once the host counters are off.
+            for (out, how) in [(miss_out, "miss"), (hit_out, "hit"), (fast_out, "fast")] {
+                assert_eq!(out.as_slice(), ref_out.as_slice(), "{label}: {how} output");
+            }
+            reference.clear_host_counters();
+            for (mut stats, how) in [(miss, "miss"), (hit, "hit")] {
+                stats.clear_host_counters();
+                assert_eq!(stats, reference, "{label}: {how} stats");
+            }
         }
     }
 
@@ -1046,15 +1055,6 @@ mod tests {
         assert_eq!(stats.engine_invocations, 1);
         assert_eq!(stats.sim_cache_hits, 3, "3 of 4 groups replay");
         assert_eq!(cache.len(), 1);
-    }
-
-    /// Cycle-per-MAC toy predictor for the fast-fidelity tests.
-    #[derive(Debug)]
-    struct MacRate(u64);
-    impl crate::predict::CyclePredictor for MacRate {
-        fn predict_cycles(&self, f: &crate::predict::LayerFeatures) -> u64 {
-            f.macs / self.0 + 5
-        }
     }
 
     #[test]

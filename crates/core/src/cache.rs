@@ -7,10 +7,10 @@
 //! the operation kind and geometry, the tile/mapping, and (for sparse
 //! runs) the stationary operand's sparsity pattern plus the schedule
 //! identity. [`SimCache`] memoizes [`SimStats`] under that key so a
-//! repeated layer costs one simulation; on a hit the *functional* output
-//! is recomputed by a cheap replay that mirrors the engine's exact f32
-//! accumulation order, making cached and uncached runs bitwise identical
-//! in both cycle counts and outputs.
+//! repeated layer costs one accounting walk; the *functional* output is
+//! never memoized — hit or miss, it comes from the engine's one
+//! `functional` kernel — so cached and uncached runs are bitwise
+//! identical in both cycle counts and outputs.
 //!
 //! What the key deliberately excludes:
 //!
@@ -260,7 +260,9 @@ pub(crate) struct CacheEntry {
     suffix: String,
     /// Packing info of sparse runs (empty otherwise).
     iterations: Vec<IterationInfo>,
-    /// Whether the sparse mapper chose the GEMV input-stationary mode.
+    /// Whether the sparse mapper chose the GEMV input-stationary mode
+    /// (persisted with the entry; no reader — the run's own packing plan
+    /// re-derives the choice).
     input_stationary: bool,
 }
 
@@ -299,10 +301,6 @@ impl CacheEntry {
 
     pub(crate) fn iterations(&self) -> &[IterationInfo] {
         &self.iterations
-    }
-
-    pub(crate) fn input_stationary(&self) -> bool {
-        self.input_stationary
     }
 }
 

@@ -25,6 +25,14 @@
 //! to the Global Buffer, adding read-modify-write traffic and delivery
 //! cycles — exactly the kind of execution-time subtlety the paper shows
 //! analytical models miss (Fig. 1b).
+//!
+//! # Two halves
+//!
+//! Per the [engine contract](super#two-halves): `functional` computes
+//! the output with the fold-ordered chunk kernel (fanned over worker
+//! threads on request), `accounting` walks the loop nest above over the
+//! operand's extents and address map, and [`run_dense`] is their
+//! composition.
 
 use crate::config::{AcceleratorConfig, Dataflow};
 use crate::context::{EngineScratch as Scratch, SimContext};
@@ -81,10 +89,10 @@ pub fn run_dense(
 }
 
 /// [`run_dense`] with an intra-layer worker budget: when `workers > 1`,
-/// the independent filter chunks (disjoint output-row tiles) fan across
-/// that many scoped threads. Outputs, cycles, and statistics are
-/// bitwise-identical to the serial run (see `docs/PERFORMANCE.md`);
-/// tracing forces the serial path so timelines stay complete.
+/// the output pass fans its independent filter chunks (disjoint
+/// output-row blocks) across that many scoped threads; the accounting
+/// walk is serial. Outputs, cycles, and statistics are bitwise-identical
+/// to the serial run (see `docs/PERFORMANCE.md`).
 ///
 /// # Panics
 ///
@@ -98,130 +106,91 @@ pub fn run_dense_with(
     operand: &DenseOperand,
     workers: usize,
 ) -> (Matrix, SimStats) {
-    run_dense_ctx(
-        config,
-        operation,
-        layer,
-        tile,
-        operand,
-        workers,
-        &SimContext::new(),
-    )
+    // A fresh context per call; [`crate::Stonne`] threads its own through
+    // the two halves so the grown buffers serve every layer of a run.
+    // Accounting first: it validates the tile.
+    let sim = SimContext::new();
+    let stats = accounting(config, operation, layer, tile, operand, &sim);
+    let out = functional(config, tile, operand, workers, &sim);
+    (out, stats)
 }
 
-/// [`run_dense_with`] threaded through a shared [`SimContext`]: scratch
-/// buffers come from its pool, and its switch selects between the
-/// width-class collapse and the plain per-chunk walk. The public wrappers
-/// use a fresh context per call; [`crate::Stonne`] threads its own so the
-/// grown buffers serve every layer of a run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_dense_ctx(
-    config: &AcceleratorConfig,
-    operation: &str,
-    layer: &LayerDims,
-    tile: &Tile,
-    operand: &DenseOperand,
-    workers: usize,
-    sim: &SimContext,
-) -> (Matrix, SimStats) {
-    let m = operand.weights.rows();
-    let k_len = operand.weights.cols();
-    let n = operand.inputs.cols();
-    assert_eq!(operand.inputs.rows(), k_len, "operand inner dims disagree");
-    assert_eq!(operand.addrs.len(), k_len * n, "address map size mismatch");
-    tile.validate(layer, config.ms_size)
-        .unwrap_or_else(|e| panic!("tile invalid for {operation}: {e}"));
-
-    match config.dataflow {
-        Dataflow::WeightStationary => run_weight_stationary(
-            config, operation, layer, tile, operand, m, k_len, n, workers, sim,
-        ),
-        Dataflow::OutputStationary => run_output_stationary(
-            config, operation, layer, tile, operand, m, k_len, n, workers, sim,
-        ),
-        Dataflow::InputStationary => {
-            run_input_stationary(config, operation, layer, tile, operand, m, n, workers, sim)
-        }
-    }
-}
-
-/// Input-stationary execution: the roles of the operands swap — the
-/// im2col columns (activations) pin to the multipliers and the weight
-/// rows stream through the distribution network. Implemented by running
-/// the weight-stationary engine on the transposed problem
-/// (`Cᵀ = Bᵀ·Aᵀ`): the stationary operand is loaded once per mapping,
+/// The weight-stationary problem an input-stationary run walks: the roles
+/// of the operands swap — the im2col columns (activations) pin to the
+/// multipliers and the weight rows stream through the distribution
+/// network — so the engine runs on the transposed problem
+/// (`Cᵀ = Bᵀ·Aᵀ`): the stationary operand is loaded once per mapping and
 /// the streamed weights carry no reuse (each element is unique), which is
-/// exactly the IS traffic pattern.
-#[allow(clippy::too_many_arguments)]
-fn run_input_stationary(
+/// exactly the IS traffic pattern. The N activation columns become the
+/// stationary "filters", the M filters become streamed positions, and the
+/// mapper re-derives a tile for the transposed extents.
+fn transposed_problem(
     config: &AcceleratorConfig,
-    operation: &str,
-    _layer: &LayerDims,
-    _tile: &Tile,
-    operand: &DenseOperand,
     m: usize,
+    k_len: usize,
     n: usize,
-    workers: usize,
-    sim: &SimContext,
-) -> (Matrix, SimStats) {
-    let k_len = operand.inputs.rows();
-    let swapped =
-        DenseOperand::from_gemm(operand.inputs.transposed(), operand.weights.transposed());
-    // The transposed layer: the N activation columns become the stationary
-    // "filters" and the M filters become streamed positions; the mapper
-    // re-derives a tile for the transposed extents.
+) -> (LayerDims, Tile) {
     let t_layer = LayerDims::from_gemm(n, m, k_len);
     let t_tile = Tile::auto_bw(&t_layer, config.ms_size, config.dn_bandwidth);
-    let mut cfg = config.clone();
-    cfg.dataflow = Dataflow::WeightStationary;
-    let (out_t, mut stats) = run_weight_stationary(
-        &cfg, operation, &t_layer, &t_tile, &swapped, n, k_len, m, workers, sim,
-    );
-    stats.operation = format!("{operation} [IS]");
-    (out_t.transposed(), stats)
+    (t_layer, t_tile)
 }
 
-/// Recomputes the functional output of [`run_dense`] without cycle-level
-/// simulation, mirroring the engine's exact f32 accumulation order (per
-/// output: partial sums per fold, folds added in ascending order) so a
-/// simulation-cache replay is bitwise identical to the engine's output.
-pub(crate) fn replay_dense(
+/// The functional half: the `M × N` output in the engine's exact f32
+/// accumulation order (see [`compute_chunk_output`]). WS and OS
+/// accumulate identically; IS computes the transposed problem with its
+/// re-derived tile. When `workers > 1` the independent filter chunks
+/// (disjoint output-row blocks) fan across that many scoped threads —
+/// output rows are independent, so any chunking gives the same bits.
+///
+/// # Panics
+///
+/// Panics if the operand's inner dimensions disagree.
+pub(crate) fn functional(
     config: &AcceleratorConfig,
     tile: &Tile,
     operand: &DenseOperand,
+    workers: usize,
+    sim: &SimContext,
 ) -> Matrix {
-    match config.dataflow {
-        // WS and OS accumulate identically: one fold-slice partial sum at
-        // a time, fold-ascending, rows ascending within a fold.
-        Dataflow::WeightStationary | Dataflow::OutputStationary => {
-            replay_rows(operand, tile.cluster_size())
-        }
-        // IS runs the weight-stationary engine on the transposed problem
-        // with a re-derived tile; mirror that exactly.
-        Dataflow::InputStationary => {
-            let m = operand.weights.rows();
-            let k_len = operand.inputs.rows();
-            let n = operand.inputs.cols();
-            let swapped =
-                DenseOperand::from_gemm(operand.inputs.transposed(), operand.weights.transposed());
-            let t_layer = LayerDims::from_gemm(n, m, k_len);
-            let t_tile = Tile::auto_bw(&t_layer, config.ms_size, config.dn_bandwidth);
-            replay_rows(&swapped, t_tile.cluster_size()).transposed()
-        }
+    let (m, k_len) = (operand.weights.rows(), operand.weights.cols());
+    assert_eq!(operand.inputs.rows(), k_len, "operand inner dims disagree");
+    if config.dataflow == Dataflow::InputStationary {
+        let (_, t_tile) = transposed_problem(config, m, k_len, operand.inputs.cols());
+        let (weights, inputs) = (operand.inputs.transposed(), operand.weights.transposed());
+        return chunked_output(&weights, &inputs, &t_tile, workers, sim).transposed();
     }
+    chunked_output(&operand.weights, &operand.inputs, tile, workers, sim)
 }
 
-/// The whole operand as one filter chunk of [`compute_chunk_output`] —
-/// output rows are independent, so this equals the engine's per-chunk
-/// calls bit for bit.
-fn replay_rows(operand: &DenseOperand, cluster: usize) -> Matrix {
-    let m = operand.weights.rows();
-    let mut out = Matrix::zeros(m, operand.inputs.cols());
-    compute_chunk_output(operand, cluster, 0, m, out.as_mut_slice(), &mut Vec::new());
+/// `weights × inputs` by [`compute_chunk_output`]: the whole operand as
+/// one chunk, or one chunk of `t_k·t_g` filters per worker task.
+fn chunked_output(
+    weights: &Matrix,
+    inputs: &Matrix,
+    tile: &Tile,
+    workers: usize,
+    sim: &SimContext,
+) -> Matrix {
+    let (m, n) = (weights.rows(), inputs.cols());
+    let cluster = tile.cluster_size();
+    let t_k = tile.t_k * tile.t_g;
+    let mut out = Matrix::zeros(m, n);
+    if workers > 1 && m > t_k {
+        let blocks = out.as_mut_slice().chunks_mut(t_k * n);
+        run_chunks_parallel(workers, blocks, sim, |kc, block, acc| {
+            let rows = kc * t_k..((kc + 1) * t_k).min(m);
+            compute_chunk_output(weights, inputs, cluster, rows, block, acc);
+        });
+    } else {
+        let mut scratch = sim.take_scratch();
+        let (block, acc) = (out.as_mut_slice(), &mut scratch.acc);
+        compute_chunk_output(weights, inputs, cluster, 0..m, block, acc);
+        sim.put_scratch(scratch);
+    }
     out
 }
 
-/// Computes a filter chunk's functional output (rows `k_lo..k_hi`, all
+/// Computes a filter chunk's functional output (the given `rows`, all
 /// `n` columns) in the engine's exact accumulation order: per output,
 /// rows ascending within a fold and one accumulator add into the output
 /// per fold, folds ascending. Blocking over the output columns keeps
@@ -230,28 +199,27 @@ fn replay_rows(operand: &DenseOperand, cluster: usize) -> Matrix {
 /// vectorizable, unlike a per-output latency-bound dot chain. Padding
 /// taps multiply the stored zero, exactly as the per-element walk did.
 fn compute_chunk_output(
-    operand: &DenseOperand,
+    weights: &Matrix,
+    inputs: &Matrix,
     cluster: usize,
-    k_lo: usize,
-    k_hi: usize,
+    rows: std::ops::Range<usize>,
     out_rows: &mut [Elem],
     acc: &mut Vec<Elem>,
 ) {
-    let k_len = operand.weights.cols();
-    let n = operand.inputs.cols();
+    let k_len = weights.cols();
+    let n = inputs.cols();
     let cluster = cluster.max(1);
     let folds = k_len.div_ceil(cluster);
     acc.resize(n, 0.0);
     let acc = &mut acc[..n];
-    for kf in k_lo..k_hi {
-        let w_row = operand.weights.row(kf);
-        let out_row = &mut out_rows[(kf - k_lo) * n..(kf - k_lo + 1) * n];
+    for (kf, out_row) in rows.zip(out_rows.chunks_mut(n)) {
+        let w_row = weights.row(kf);
         for fold in 0..folds {
             let row_lo = fold * cluster;
             let row_hi = (row_lo + cluster).min(k_len);
             acc.fill(0.0);
             for (&wv, row) in w_row[row_lo..row_hi].iter().zip(row_lo..row_hi) {
-                let src = &operand.inputs.row(row)[..n];
+                let src = &inputs.row(row)[..n];
                 for (a, &x) in acc.iter_mut().zip(src) {
                     *a += wv * x;
                 }
@@ -267,10 +235,12 @@ fn compute_chunk_output(
 /// window: `unique` distinct fetches meet the DN bandwidth; `non_pad`
 /// taps are the multiplications every filter of the chunk performs.
 ///
-/// `trivial` short-circuits the sort for operands whose address map is
-/// the identity (plain GEMM: every element distinct, no padding).
+/// `addrs` is the operand's row-major `K × n` address map; `trivial`
+/// short-circuits the sort for operands whose address map is the identity
+/// (plain GEMM: every element distinct, no padding).
 fn unique_inputs(
-    operand: &DenseOperand,
+    addrs: &[u32],
+    n: usize,
     rows: std::ops::Range<usize>,
     cols: std::ops::Range<usize>,
     trivial: bool,
@@ -282,7 +252,7 @@ fn unique_inputs(
     }
     scratch.clear();
     for k in rows {
-        let row = &operand.addrs[k * operand.inputs.cols()..(k + 1) * operand.inputs.cols()];
+        let row = &addrs[k * n..(k + 1) * n];
         scratch.extend(row[cols.clone()].iter().filter(|&&a| a != PAD_ADDR));
     }
     let non_pad = scratch.len();
@@ -292,14 +262,11 @@ fn unique_inputs(
 }
 
 /// Whether the address map is the identity permutation (the
-/// [`DenseOperand::from_gemm`] layout): every input element is a unique
-/// non-pad fetch, so window uniqueness needs no sorting.
-pub(crate) fn has_trivial_addrs(operand: &DenseOperand) -> bool {
-    operand
-        .addrs
-        .iter()
-        .enumerate()
-        .all(|(i, &a)| a == i as u32)
+/// [`DenseOperand::from_gemm`] layout; also what an absent map stands
+/// for): every input element is a unique non-pad fetch, so window
+/// uniqueness needs no sorting.
+pub(crate) fn has_trivial_addrs(addrs: &[u32]) -> bool {
+    addrs.iter().enumerate().all(|(i, &a)| a == i as u32)
 }
 
 /// Splits the `n` output positions into delivery chunks of at most
@@ -332,11 +299,11 @@ fn position_chunks(layer: &LayerDims, n_cols: usize, t_pos: usize) -> Vec<(usize
     chunks
 }
 
-/// Loop-invariant context of a weight-stationary run, shared read-only
-/// by every filter chunk (and, under intra-layer parallelism, by every
-/// worker thread).
+/// Loop-invariant context of an accounting walk, shared read-only by
+/// every filter chunk. Holds the operand's extents and address map, never
+/// its values.
 struct WsCtx<'a> {
-    operand: &'a DenseOperand,
+    addrs: &'a [u32],
     dn: DistributionNetwork,
     mn: MultiplierNetwork,
     rn: ReductionNetwork,
@@ -360,8 +327,8 @@ struct WsCtx<'a> {
 /// it covers — every full-width chunk of a layer shares one accounting
 /// record, which is what makes the width-class collapse exact. Chunks
 /// touch disjoint output rows and carry no state between each other
-/// beyond the additive cycle/stat totals — the disjoint-tile invariant
-/// that makes intra-layer parallelism (and record assembly) bitwise-safe.
+/// beyond the additive cycle/stat totals, which is what makes record
+/// assembly bitwise-safe.
 fn ws_chunk_accounting(
     ctx: &WsCtx<'_>,
     chunk_filters: usize,
@@ -399,7 +366,8 @@ fn ws_chunk_accounting(
 
                 // Unique input elements this step (address reuse):
                 let (uniq, non_pad) = unique_inputs(
-                    ctx.operand,
+                    ctx.addrs,
+                    ctx.n,
                     row_lo..row_hi,
                     pos..pos_hi,
                     ctx.trivial_addrs,
@@ -421,11 +389,8 @@ fn ws_chunk_accounting(
                 stats.counters.fifo_pops += uniq as u64;
 
                 // Compute: every active VN multiplies its slice and the
-                // RN reduces all clusters in one pipelined step. The
-                // functional f32 output was produced up front by
-                // [`compute_chunk_output`] (same accumulation order);
-                // here only the non-pad taps count as multiplier
-                // activity.
+                // RN reduces all clusters in one pipelined step; only
+                // the non-pad taps count as multiplier activity.
                 let mults = chunk_filters as u64 * non_pad as u64;
                 ctx.mn.account(&mut stats.counters, mults, 0);
                 stats.ms_busy_cycles += mults;
@@ -468,19 +433,60 @@ fn ws_chunk_accounting(
     cycles
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_weight_stationary(
+/// The accounting half: cycles, counters and breakdown of the run, from
+/// the operand's extents and address map alone — operand values are never
+/// read and no output is written. IS walks the transposed problem
+/// weight-stationary (see [`transposed_problem`]).
+///
+/// # Panics
+///
+/// Panics if the address map disagrees with the operand shape, or if the
+/// tile does not fit `layer` or the configured multiplier count.
+pub(crate) fn accounting(
     config: &AcceleratorConfig,
     operation: &str,
     layer: &LayerDims,
     tile: &Tile,
     operand: &DenseOperand,
+    sim: &SimContext,
+) -> SimStats {
+    let (m, k_len) = (operand.weights.rows(), operand.weights.cols());
+    let n = operand.inputs.cols();
+    assert_eq!(operand.addrs.len(), k_len * n, "address map size mismatch");
+    tile.validate(layer, config.ms_size)
+        .unwrap_or_else(|e| panic!("tile invalid for {operation}: {e}"));
+    let os = config.dataflow == Dataflow::OutputStationary;
+    if config.dataflow == Dataflow::InputStationary {
+        let (layer, tile) = transposed_problem(config, m, k_len, n);
+        // Every streamed weight is a unique fetch: no address map.
+        let mut stats =
+            filter_chunks_accounting(config, operation, os, &layer, &tile, n, k_len, m, &[], sim);
+        stats.operation = format!("{operation} [IS]");
+        return stats;
+    }
+    let addrs = &operand.addrs;
+    filter_chunks_accounting(config, operation, os, layer, tile, m, k_len, n, addrs, sim)
+}
+
+/// The chunk walk behind every dataflow: sets up the loop-invariant
+/// context, then accounts the filter chunks either by width class (one
+/// record per distinct chunk width, merged once per chunk,
+/// chunk-ascending) or by the plain per-chunk walk. Tracing takes the
+/// plain walk — spans carry absolute cycles, so a merged record would
+/// drop them — which also keeps traces trivially identical either way.
+#[allow(clippy::too_many_arguments)]
+fn filter_chunks_accounting(
+    config: &AcceleratorConfig,
+    operation: &str,
+    output_stationary: bool,
+    layer: &LayerDims,
+    tile: &Tile,
     m: usize,
     k_len: usize,
     n: usize,
-    workers: usize,
+    addrs: &[u32],
     sim: &SimContext,
-) -> (Matrix, SimStats) {
+) -> SimStats {
     let dn = DistributionNetwork::new(config.dn, config.ms_size, config.dn_bandwidth);
     let mn = MultiplierNetwork::new(config.mn, config.ms_size);
     let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
@@ -505,8 +511,9 @@ fn run_weight_stationary(
     // (block, fold) and nothing spills. Only when even a single position
     // chunk's psums exceed the accumulators does the engine fall back to
     // GB round-trips — the behaviour plain ART (no ACC) always has.
-    let min_working_set = t_k * t_pos;
-    let spill = min_working_set > acc_capacity;
+    // Under OS the outputs are pinned and never spill, and its walk has
+    // no position blocks.
+    let spill = !output_stationary && t_k * t_pos > acc_capacity;
     let chunks_per_block = if spill {
         pos_chunks.len().max(1)
     } else {
@@ -514,7 +521,7 @@ fn run_weight_stationary(
     };
 
     let ctx = WsCtx {
-        operand,
+        addrs,
         dn,
         mn,
         rn,
@@ -525,175 +532,81 @@ fn run_weight_stationary(
         pos_chunks: &pos_chunks,
         chunks_per_block,
         spill,
-        trivial_addrs: has_trivial_addrs(operand),
+        trivial_addrs: has_trivial_addrs(addrs),
     };
-    drive_filter_chunks(
-        config,
-        operation,
-        tile,
-        &ctx,
-        m,
-        workers,
-        sim,
-        ws_chunk_accounting,
-    )
-}
+    let chunk_accounting = if output_stationary {
+        os_chunk_accounting
+    } else {
+        ws_chunk_accounting
+    };
 
-/// Shared chunk-walk driver of the WS and OS runs: computes every filter
-/// chunk's functional output, then accounts timing either by width class
-/// (one record per distinct chunk width, merged once per chunk,
-/// chunk-ascending) or by the plain per-chunk walk. Tracing takes the
-/// plain walk — spans carry absolute cycles, so a merged record would
-/// drop them — which also keeps traces trivially identical either way.
-#[allow(clippy::too_many_arguments)]
-fn drive_filter_chunks(
-    config: &AcceleratorConfig,
-    operation: &str,
-    tile: &Tile,
-    ctx: &WsCtx<'_>,
-    m: usize,
-    workers: usize,
-    sim: &SimContext,
-    chunk_accounting: fn(&WsCtx<'_>, usize, &mut SimStats, u64, &mut Scratch) -> u64,
-) -> (Matrix, SimStats) {
-    let t_k = tile.t_k * tile.t_g;
-    let n = ctx.n;
-    let mut out = Matrix::zeros(m, n);
     let mut stats = SimStats {
         accelerator: config.name.clone(),
         operation: operation.to_owned(),
         ms_size: config.ms_size,
         ..SimStats::default()
     };
-    let k_chunks = m.div_ceil(t_k);
-    let chunk_bounds = |kc: usize| (kc * t_k, (kc * t_k + t_k).min(m));
-    // Functional output of chunk `kc` into its block of output rows;
-    // returns the chunk's width.
-    let compute = |kc: usize, block: &mut [Elem], acc: &mut Vec<Elem>| {
-        let (k_lo, k_hi) = chunk_bounds(kc);
-        compute_chunk_output(ctx.operand, ctx.cluster, k_lo, k_hi, block, acc);
-        k_hi - k_lo
-    };
-
+    let widths = (0..m.div_ceil(t_k)).map(|kc| (m - kc * t_k).min(t_k));
+    let mut scratch = sim.take_scratch();
     if sim.tile_cache_enabled() && !crate::trace::is_active() {
-        let mut scratch = sim.take_scratch();
-        // Functional outputs: the exact per-chunk kernel, fanned out when
-        // the worker budget allows (partial stats are not needed).
-        if parallel_over(workers, k_chunks) {
-            let blocks = out.as_mut_slice().chunks_mut(t_k * n);
-            run_chunks_parallel(workers, k_chunks, blocks, sim, |kc, block, scratch| {
-                compute(kc, block, &mut scratch.acc);
-                SimStats::default()
-            });
-        } else {
-            for (kc, block) in out.as_mut_slice().chunks_mut(t_k * n).enumerate() {
-                compute(kc, block, &mut scratch.acc);
-            }
-        }
-        // Timing: every chunk is `t_k` wide except a ragged last one, so
-        // the width changes at most once along the walk and the record of
-        // the current width class is all that has to be kept (at most two
-        // accounting walks per invocation). Merging it once per chunk,
-        // chunk-ascending, is the same deterministic order the
-        // intra-layer parallel path uses, so cycles, counters and
-        // breakdowns are bitwise-stable.
+        // Every chunk is `t_k` wide except a ragged last one, so the
+        // width changes at most once along the walk and the record of the
+        // current width class is all that has to be kept (at most two
+        // accounting walks per invocation), merged once per chunk.
         let mut class = (0, SimStats::default());
-        for kc in 0..k_chunks {
-            let (k_lo, k_hi) = chunk_bounds(kc);
-            let w = k_hi - k_lo;
+        for w in widths {
             if w == class.0 {
                 stats.tile_cache_hits += 1;
             } else {
                 stats.tile_cache_misses += 1;
                 let mut record = SimStats::default();
-                record.cycles = chunk_accounting(ctx, w, &mut record, 0, &mut scratch);
+                record.cycles = chunk_accounting(&ctx, w, &mut record, 0, &mut scratch);
                 class = (w, record);
             }
             stats.merge(&class.1);
             stats.tile_cache_assembled += 1;
         }
-        sim.put_scratch(scratch);
-    } else if parallel_over(workers, k_chunks) {
-        let blocks = out.as_mut_slice().chunks_mut(t_k * n);
-        let partials = run_chunks_parallel(workers, k_chunks, blocks, sim, |kc, block, scratch| {
-            let w = compute(kc, block, &mut scratch.acc);
-            let mut local = SimStats::default();
-            let cycles = chunk_accounting(ctx, w, &mut local, 0, scratch);
-            SimStats { cycles, ..local }
-        });
-        for partial in &partials {
-            stats.merge(partial);
-        }
     } else {
         let mut cycles: u64 = 0;
-        let mut scratch = sim.take_scratch();
-        for (kc, block) in out.as_mut_slice().chunks_mut(t_k * n).enumerate() {
-            let w = compute(kc, block, &mut scratch.acc);
-            cycles = chunk_accounting(ctx, w, &mut stats, cycles, &mut scratch);
+        for w in widths {
+            cycles = chunk_accounting(&ctx, w, &mut stats, cycles, &mut scratch);
         }
-        sim.put_scratch(scratch);
         stats.cycles = cycles;
     }
-    (out, stats)
+    sim.put_scratch(scratch);
+    stats
 }
 
-/// Whether a run with `workers` requested threads over `k_chunks`
-/// independent filter chunks takes the intra-layer parallel path.
-///
-/// Tracing pins the run to one thread: the trace collector is
-/// thread-local, so worker-thread spans would be silently dropped and
-/// the serial path keeps timelines complete.
-fn parallel_over(workers: usize, k_chunks: usize) -> bool {
-    workers > 1 && k_chunks > 1 && !crate::trace::is_active()
-}
-
-/// Fans the `k_chunks` filter chunks (with their disjoint output-row
-/// blocks) across `workers` scoped threads and returns the per-chunk
-/// partial statistics in chunk order, so callers merge them
-/// deterministically (chunk-ascending — the serial order).
-fn run_chunks_parallel<'e, F>(
+/// Fans the filter chunks (their disjoint output-row `blocks`) across up
+/// to `workers` scoped threads, each with a pooled fold accumulator.
+fn run_chunks_parallel<F>(
     workers: usize,
-    k_chunks: usize,
-    blocks: std::slice::ChunksMut<'e, Elem>,
+    blocks: std::slice::ChunksMut<'_, Elem>,
     sim: &SimContext,
     chunk_fn: F,
-) -> Vec<SimStats>
-where
-    F: Fn(usize, &mut [Elem], &mut Scratch) -> SimStats + Sync,
+) where
+    F: Fn(usize, &mut [Elem], &mut Vec<Elem>) + Sync,
 {
-    let threads = workers.min(k_chunks);
-    // Static round-robin assignment: deterministic and balanced (chunks
-    // are uniform except the last).
+    let threads = workers.min(blocks.len());
+    // Static round-robin assignment: balanced (chunks are uniform except
+    // the last).
     let mut per_thread: Vec<Vec<(usize, &mut [Elem])>> = (0..threads).map(|_| Vec::new()).collect();
     for (kc, block) in blocks.enumerate() {
         per_thread[kc % threads].push((kc, block));
     }
-    let mut partials: Vec<Option<SimStats>> = (0..k_chunks).map(|_| None).collect();
+    // The scope joins every worker and re-raises a worker's panic.
     std::thread::scope(|scope| {
-        let handles: Vec<_> = per_thread
-            .into_iter()
-            .map(|assignment| {
-                scope.spawn(|| {
-                    let mut scratch = sim.take_scratch();
-                    let locals = assignment
-                        .into_iter()
-                        .map(|(kc, block)| (kc, chunk_fn(kc, block, &mut scratch)))
-                        .collect::<Vec<_>>();
-                    sim.put_scratch(scratch);
-                    locals
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (kc, local) in handle.join().expect("engine worker panicked") {
-                partials[kc] = Some(local);
-            }
+        for assignment in per_thread {
+            let chunk_fn = &chunk_fn;
+            scope.spawn(move || {
+                let mut scratch = sim.take_scratch();
+                for (kc, block) in assignment {
+                    chunk_fn(kc, block, &mut scratch.acc);
+                }
+                sim.put_scratch(scratch);
+            });
         }
     });
-    partials
-        .into_iter()
-        .map(|p| p.expect("every chunk simulated"))
-        .collect()
 }
 
 /// Timing/activity of one filter chunk of an output-stationary run:
@@ -720,7 +633,8 @@ fn os_chunk_accounting(
             let fold_rows = row_hi - row_lo;
 
             let (uniq, non_pad) = unique_inputs(
-                ctx.operand,
+                ctx.addrs,
+                ctx.n,
                 row_lo..row_hi,
                 pos..pos_hi,
                 ctx.trivial_addrs,
@@ -732,10 +646,6 @@ fn os_chunk_accounting(
                 .account(&mut stats.counters, uniq + w_unique, fold_rows * chunk_pos);
             stats.counters.gb_reads += (uniq + w_unique) as u64;
 
-            // Functional output handled up front by
-            // [`compute_chunk_output`] (identical accumulation order:
-            // rows ascending within a fold, folds ascending into the
-            // pinned output).
             let mults = chunk_filters as u64 * non_pad as u64;
             ctx.mn.account(&mut stats.counters, mults, 0);
             stats.ms_busy_cycles += mults;
@@ -768,54 +678,6 @@ fn os_chunk_accounting(
     stats.breakdown.drain_cycles += drain;
     stats.iterations += 1;
     cycles
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_output_stationary(
-    config: &AcceleratorConfig,
-    operation: &str,
-    layer: &LayerDims,
-    tile: &Tile,
-    operand: &DenseOperand,
-    m: usize,
-    k_len: usize,
-    n: usize,
-    workers: usize,
-    sim: &SimContext,
-) -> (Matrix, SimStats) {
-    let dn = DistributionNetwork::new(config.dn, config.ms_size, config.dn_bandwidth);
-    let mn = MultiplierNetwork::new(config.mn, config.ms_size);
-    let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
-
-    let cluster = tile.cluster_size();
-    let t_pos = tile.t_n * tile.t_xp * tile.t_yp;
-    let folds = k_len.div_ceil(cluster);
-
-    let pos_chunks = position_chunks(layer, n, t_pos);
-    let ctx = WsCtx {
-        operand,
-        dn,
-        mn,
-        rn,
-        cluster,
-        folds,
-        k_len,
-        n,
-        pos_chunks: &pos_chunks,
-        chunks_per_block: 1, // unused by the OS walk
-        spill: false,        // outputs never spill: they are pinned
-        trivial_addrs: has_trivial_addrs(operand),
-    };
-    drive_filter_chunks(
-        config,
-        operation,
-        tile,
-        &ctx,
-        m,
-        workers,
-        sim,
-        os_chunk_accounting,
-    )
 }
 
 #[cfg(test)]
@@ -888,22 +750,32 @@ mod tests {
     }
 
     #[test]
-    fn replay_matches_engine_output_bitwise() {
-        for (seed, dataflow) in [
-            (31, Dataflow::WeightStationary),
-            (32, Dataflow::OutputStationary),
-            (33, Dataflow::InputStationary),
+    fn accounting_depends_on_shape_and_addresses_only() {
+        // A padded convolution operand (overlapping windows, pad taps):
+        // same geometry, different values — no statistic may move.
+        use stonne_tensor::{Conv2dGeom, Tensor4};
+        let geom = Conv2dGeom::new(3, 5, 3, 3, 1, 1, 1);
+        let operand = |seed| {
+            let mut rng = SeededRng::new(seed);
+            let input = Tensor4::random(1, 3, 6, 6, &mut rng);
+            let weights = Tensor4::random(5, 3, 3, 3, &mut rng);
+            crate::engine::conv_operand(&input, &weights, &geom, 0)
+        };
+        let (op1, op2) = (operand(61), operand(62));
+        assert_eq!(op1.addrs, op2.addrs);
+        let layer = LayerDims::from_conv(&geom, 6, 6, 1);
+        let tile = Tile::auto_bw(&layer, 32, 8);
+        for dataflow in [
+            Dataflow::WeightStationary,
+            Dataflow::OutputStationary,
+            Dataflow::InputStationary,
         ] {
-            let (_, _, op) = gemm_setup(7, 11, 37, seed);
-            let layer = LayerDims::from_gemm(7, 11, 37);
-            let tile = Tile::auto(&layer, 64);
-            let mut cfg = AcceleratorConfig::maeri_like(64, 16);
+            let mut cfg = AcceleratorConfig::maeri_like(32, 8);
             cfg.dataflow = dataflow;
-            let (out, _) = run_dense(&cfg, "g", &layer, &tile, &op);
-            let replay = replay_dense(&cfg, &tile, &op);
-            // Bitwise, not approximate: the replay mirrors the engine's
-            // exact accumulation order.
-            assert_eq!(out.as_slice(), replay.as_slice(), "{dataflow:?}");
+            let (out1, stats1) = run_dense(&cfg, "c", &layer, &tile, &op1);
+            let (out2, stats2) = run_dense(&cfg, "c", &layer, &tile, &op2);
+            assert_eq!(stats1, stats2, "{dataflow:?}");
+            assert_ne!(out1, out2, "{dataflow:?}: values did change");
         }
     }
 
@@ -996,8 +868,9 @@ mod tests {
 
     #[test]
     fn tile_cache_is_bitwise_invisible_and_collapses_width_classes() {
-        // On-vs-off must agree on output bits and every stat except the
-        // tile counters themselves, which the disabled side leaves at 0.
+        // On-vs-off must agree on every stat except the tile counters
+        // themselves, which the disabled side leaves at 0 (the output
+        // pass never sees the context's switch).
         for (seed, dataflow) in [
             (51, Dataflow::WeightStationary),
             (52, Dataflow::OutputStationary),
@@ -1008,10 +881,8 @@ mod tests {
             let tile = Tile::auto(&layer, 32); // several k-chunks
             let mut cfg = AcceleratorConfig::maeri_like(32, 8);
             cfg.dataflow = dataflow;
-            let (off_out, off) =
-                run_dense_ctx(&cfg, "g", &layer, &tile, &op, 1, &SimContext::disabled());
-            let (on_out, on) = run_dense_ctx(&cfg, "g", &layer, &tile, &op, 1, &SimContext::new());
-            assert_eq!(off_out.as_slice(), on_out.as_slice(), "{dataflow:?}");
+            let off = accounting(&cfg, "g", &layer, &tile, &op, &SimContext::disabled());
+            let on = accounting(&cfg, "g", &layer, &tile, &op, &SimContext::new());
             let mut stripped = on.clone();
             stripped.clear_host_counters();
             assert_eq!(off, stripped, "{dataflow:?}: only tile counters differ");

@@ -6,6 +6,18 @@
 //! * [`sparse`] — variable-cluster sparse engine (SIGMA-like).
 //! * [`pool`] — streaming max-pool support (mapped without SIMD units, as
 //!   the paper notes flexible substrates allow).
+//!
+//! # Two halves
+//!
+//! STONNE's contract is functional *and* cycle-level, and every engine
+//! keeps the two apart as a pair of crate-private functions: `functional`
+//! computes the output — the only code of the engine that multiplies
+//! operand values, in the engine's accumulation order — and `accounting`
+//! walks the microarchitecture for the [`crate::SimStats`] without
+//! reading a value (beyond a zero pattern, where timing depends on one)
+//! or writing an output. The public `run_*` entry points are the two
+//! composed; [`crate::Stonne`] calls `functional` for every layer and
+//! `accounting` only when no cache entry or predictor stands in for it.
 
 pub mod flexible;
 pub mod pool;

@@ -4,6 +4,12 @@
 //! without dedicated SIMD modules: windows stream through the multiplier
 //! switches (acting as comparators) and the reduction network picks the
 //! maximum. The cycle cost is delivery-bound.
+//!
+//! # Two halves
+//!
+//! Per the [engine contract](super#two-halves): `functional` is the
+//! reference max-pool, `accounting` a closed form over the window
+//! count, and [`run_maxpool`] their composition.
 
 use crate::config::AcceleratorConfig;
 use crate::networks::{DistributionNetwork, ReductionNetwork};
@@ -26,7 +32,25 @@ pub fn run_maxpool(
     window: usize,
     stride: usize,
 ) -> (Tensor4, SimStats) {
-    let out = maxpool2d_reference(input, window, stride);
+    let out = functional(input, window, stride);
+    let stats = accounting(config, operation, out.len(), window);
+    (out, stats)
+}
+
+/// The functional half: the comparator tree picks each window's maximum,
+/// which is the reference max-pool.
+pub(crate) fn functional(input: &Tensor4, window: usize, stride: usize) -> Tensor4 {
+    maxpool2d_reference(input, window, stride)
+}
+
+/// The accounting half: a closed form over the number of pooled windows
+/// (`outputs`) and the window size.
+pub(crate) fn accounting(
+    config: &AcceleratorConfig,
+    operation: &str,
+    outputs: usize,
+    window: usize,
+) -> SimStats {
     let mut stats = SimStats {
         accelerator: config.name.clone(),
         operation: operation.to_owned(),
@@ -38,7 +62,7 @@ pub fn run_maxpool(
     let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
 
     let window_elems = window * window;
-    let num_windows = out.len() as u64;
+    let num_windows = outputs as u64;
     // Each window streams its elements and reduces max in a tree pass;
     // windows are processed `ms_size / window_elems` at a time.
     let windows_per_wave = (config.ms_size / window_elems).max(1) as u64;
@@ -72,7 +96,7 @@ pub fn run_maxpool(
     stats.ms_busy_cycles = num_windows * window_elems as u64;
     stats.iterations = waves;
     stats.cycles = cycles;
-    (out, stats)
+    stats
 }
 
 #[cfg(test)]
@@ -99,6 +123,18 @@ mod tests {
         let (_, s1) = run_maxpool(&cfg, "p", &small, 2, 2);
         let (_, s2) = run_maxpool(&cfg, "p", &large, 2, 2);
         assert!(s2.cycles > s1.cycles);
+    }
+
+    #[test]
+    fn accounting_depends_on_shape_only() {
+        let cfg = AcceleratorConfig::maeri_like(64, 16);
+        let run = |seed| {
+            let mut rng = SeededRng::new(seed);
+            run_maxpool(&cfg, "p", &Tensor4::random(1, 3, 9, 9, &mut rng), 3, 2)
+        };
+        let ((out1, stats1), (out2, stats2)) = (run(4), run(5));
+        assert_eq!(stats1, stats2);
+        assert_ne!(out1, out2, "values did change");
     }
 
     #[test]

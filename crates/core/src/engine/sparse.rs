@@ -21,6 +21,14 @@
 //! switches to an input-stationary mapping — holding the KN column and
 //! streaming weight rows one dispatch per cycle — whenever its cycle
 //! estimate wins, as SIGMA's flexible substrate allows.
+//!
+//! # Two halves
+//!
+//! Per the [engine contract](super#two-halves): the mapping (dataflow
+//! choice and packing, over the borrowed CSR operand) is built once per
+//! invocation as a `Plan` and handed to `functional`, the segment-order kernel, and
+//! `accounting`, the per-iteration load/stream/drain walk;
+//! [`run_spmm`] is their composition.
 
 use crate::config::{AcceleratorConfig, SparseFormat};
 use crate::networks::{ceil_log2, DistributionNetwork, ReductionNetwork};
@@ -179,30 +187,72 @@ fn pack_segments(
     iterations
 }
 
-/// Closed-form cycle count of the weight-stationary sparse run from the
-/// controller's packing metadata alone — the per-iteration walk of
-/// [`run_weight_stationary`] (stationary load, `n` uniform streaming
-/// steps, FAN drain) replayed without any functional compute. `None`
-/// when the mapping would take a path this mirror does not cover
-/// (activation-sparsity mode, the input-stationary GEMV path, or a
-/// cluster-incapable reduction network).
-///
-/// Mirrors the mapper's dataflow decision without running either
-/// engine: `true` when [`run_spmm`] would take the input-stationary
-/// GEMV path. The predictor fast path uses this to replay outputs in
-/// the accumulation order the engine would have produced.
-pub(crate) fn dispatches_input_stationary(
-    config: &AcceleratorConfig,
-    a: &CsrMatrix,
-    n: usize,
-    schedule: &dyn RowSchedule,
-) -> bool {
-    let row_nnz: Vec<usize> = (0..a.rows()).map(|r| a.row_nnz(r)).collect();
-    let order = schedule.order(&row_nnz);
-    estimate_input_stationary(config, &row_nnz, a.cols(), n)
-        < estimate_weight_stationary(config, &order, &row_nnz, n)
+/// The controller's mapping of one invocation, built once and handed to
+/// both halves: the mapper's dataflow choice and the packing of the
+/// stationary operand's row segments into iterations.
+pub(crate) struct Plan<'a> {
+    /// Schedule policy name (labels the stats record).
+    policy: String,
+    /// The stationary operand (walking its rows is the controller's
+    /// metadata read).
+    a: &'a CsrMatrix,
+    /// Whether the mapper chose the GEMV input-stationary dataflow (its
+    /// cycle estimate beat the weight-stationary one).
+    input_stationary: bool,
+    /// Row segments per mapping iteration, in issue order.
+    iterations: Vec<Vec<Segment>>,
 }
 
+impl<'a> Plan<'a> {
+    /// Maps `a × (K×n)` under `schedule`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule does not permute all rows.
+    pub(crate) fn new(
+        config: &AcceleratorConfig,
+        a: &'a CsrMatrix,
+        n: usize,
+        schedule: &dyn RowSchedule,
+    ) -> Self {
+        let (m, k) = (a.rows(), a.cols());
+        let row_nnz: Vec<usize> = (0..m).map(|r| a.row_nnz(r)).collect();
+        let order = schedule.order(&row_nnz);
+        assert_eq!(order.len(), m, "schedule must permute all rows");
+        // Mapper: estimate both dataflows (the weight-stationary one from
+        // the strict in-order packing) and keep the cheaper one.
+        let mut iterations = pack_segments(&order, &row_nnz, config.ms_size, false);
+        let iters = iterations.len() as u64;
+        let ws_estimate = iters * (1 + n as u64) + iters * (ceil_log2(config.ms_size) as u64 + 1);
+        let input_stationary = estimate_input_stationary(config, &row_nnz, k, n) < ws_estimate;
+        if schedule.allow_skip() {
+            iterations = pack_segments(&order, &row_nnz, config.ms_size, true);
+        }
+        Self {
+            policy: schedule.name().to_owned(),
+            a,
+            input_stationary,
+            iterations,
+        }
+    }
+
+    /// Whether the mapper chose the GEMV input-stationary dataflow.
+    pub(crate) fn input_stationary(&self) -> bool {
+        self.input_stationary
+    }
+
+    /// `(column, value)` non-zeros of a mapped row segment, ascending.
+    fn entries(&self, seg: &Segment) -> impl Iterator<Item = (usize, Elem)> + 'a {
+        self.a.row_entries(seg.row).skip(seg.start).take(seg.len)
+    }
+}
+
+/// Closed-form cycle count of the weight-stationary sparse run from the
+/// controller's packing metadata alone: the uniform accounting walk,
+/// which never reads streaming values. `None` when the mapping takes a
+/// path that does (activation-sparsity mode), the input-stationary GEMV
+/// path, or needs a cluster-capable reduction network it does not have.
+///
 /// Feature extraction uses this as an exact analytical prior: it costs
 /// `O(nnz log nnz)` versus the engine's `O(nnz·n)`.
 pub(crate) fn ws_metadata_cycles(
@@ -211,46 +261,18 @@ pub(crate) fn ws_metadata_cycles(
     n: usize,
     schedule: &dyn RowSchedule,
 ) -> Option<u64> {
-    if config.exploit_activation_sparsity {
-        return None;
-    }
     let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
-    if !rn.supports_clusters() {
+    if config.exploit_activation_sparsity || !rn.supports_clusters() {
         return None;
     }
-    let m = a.rows();
-    let row_nnz: Vec<usize> = (0..m).map(|r| a.row_nnz(r)).collect();
-    let order = schedule.order(&row_nnz);
-    if estimate_input_stationary(config, &row_nnz, a.cols(), n)
-        < estimate_weight_stationary(config, &order, &row_nnz, n)
-    {
+    let plan = Plan::new(config, a, n, schedule);
+    if plan.input_stationary {
         return None;
     }
-    let dn = DistributionNetwork::new(config.dn, config.ms_size, config.dn_bandwidth);
-    let iterations = pack_segments(&order, &row_nnz, config.ms_size, schedule.allow_skip());
-    let mut cycles = 0u64;
-    let mut ks: Vec<usize> = Vec::new();
-    for segments in &iterations {
-        let occupied: usize = segments.iter().map(|s| s.len).sum();
-        cycles += dn.delivery_cycles(occupied).max(1);
-        ks.clear();
-        for s in segments {
-            ks.extend(
-                a.row_entries(s.row)
-                    .skip(s.start)
-                    .take(s.len)
-                    .map(|(k, _)| k),
-            );
-        }
-        ks.sort_unstable();
-        ks.dedup();
-        let collect = rn.collection_cycles(segments.len());
-        let step = dn.delivery_cycles(ks.len()).max(1).max(collect);
-        let max_cluster = segments.iter().map(|s| s.len).max().unwrap_or(1);
-        let drain = rn.reduce_uniform(max_cluster, segments.len()).latency + 1;
-        cycles += step * n as u64 + drain;
-    }
-    Some(cycles)
+    // A prior, not an executed operation: keep it off the trace timeline.
+    let (stats, _) =
+        crate::trace::suspended(|| weight_stationary_accounting(config, "", &plan, n, None));
+    Some(stats.cycles)
 }
 
 /// Runs `C = A_sparse (M×K) × B (K×N)` on the sparse composition.
@@ -266,35 +288,15 @@ pub fn run_spmm(
     b: &Matrix,
     schedule: &dyn RowSchedule,
 ) -> SparseRun {
-    assert_eq!(a.cols(), b.rows(), "SpMM inner dimension mismatch");
-    let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
-    assert!(
-        rn.supports_clusters(),
-        "sparse controller needs a cluster-capable RN"
-    );
-    let (m, n) = (a.rows(), b.cols());
-    let row_nnz: Vec<usize> = (0..m).map(|r| a.row_nnz(r)).collect();
-    let order = schedule.order(&row_nnz);
-    assert_eq!(order.len(), m, "schedule must permute all rows");
-
-    // Mapper: estimate both dataflows and keep the cheaper one.
-    let ws_estimate = estimate_weight_stationary(config, &order, &row_nnz, n);
-    let is_estimate = estimate_input_stationary(config, &row_nnz, a.cols(), n);
-    if is_estimate < ws_estimate {
-        run_input_stationary(config, operation, a, b, &row_nnz)
-    } else {
-        run_weight_stationary(config, operation, a, b, &order, &row_nnz, schedule)
+    let plan = Plan::new(config, a, b.cols(), schedule);
+    let output = functional(&plan, b);
+    let (stats, iterations) = accounting(config, operation, &plan, b);
+    SparseRun {
+        output,
+        stats,
+        iterations,
+        input_stationary: plan.input_stationary,
     }
-}
-
-fn estimate_weight_stationary(
-    config: &AcceleratorConfig,
-    order: &[usize],
-    row_nnz: &[usize],
-    n: usize,
-) -> u64 {
-    let iters = pack_segments(order, row_nnz, config.ms_size, false).len() as u64;
-    iters * (1 + n as u64) + iters * (ceil_log2(config.ms_size) as u64 + 1)
 }
 
 fn estimate_input_stationary(
@@ -313,201 +315,124 @@ fn estimate_input_stationary(
     (k as u64).div_ceil(config.dn_bandwidth as u64) + dispatches + ceil_log2(config.ms_size) as u64
 }
 
-fn run_weight_stationary(
+/// The functional half: the `M × N` output in the engine's f32
+/// accumulation order — per streaming column, every mapped segment's
+/// partial sum (non-zeros ascending) added into its output in packing
+/// order. Both dataflows accumulate alike: an input-stationary run holds
+/// whole rows (`K ≤ ms_size`), i.e. one unfolded segment per row.
+///
+/// # Panics
+///
+/// Panics if the inner dimensions disagree.
+pub(crate) fn functional(plan: &Plan, b: &Matrix) -> Matrix {
+    assert_eq!(plan.a.cols(), b.rows(), "SpMM inner dimension mismatch");
+    let n = b.cols();
+    let mut out = Matrix::zeros(plan.a.rows(), n);
+    // Transposed once so every streaming column is a contiguous slice.
+    let bt = b.transposed();
+    for segments in &plan.iterations {
+        for col in 0..n {
+            let bcol = bt.row(col);
+            for seg in segments {
+                let mut acc: Elem = 0.0;
+                for (k, w) in plan.entries(seg) {
+                    acc += w * bcol[k];
+                }
+                let cur = out.get(seg.row, col);
+                out.set(seg.row, col, cur + acc);
+            }
+        }
+    }
+    out
+}
+
+/// The accounting half: statistics and per-iteration packing info of the
+/// mapped run. Reads `b`'s extents — and, in activation-sparsity mode,
+/// its zero pattern — but never multiplies a value or writes an output.
+///
+/// # Panics
+///
+/// Panics if the configuration lacks a cluster-capable reduction network.
+pub(crate) fn accounting(
     config: &AcceleratorConfig,
     operation: &str,
-    a: &CsrMatrix,
+    plan: &Plan,
     b: &Matrix,
-    order: &[usize],
-    row_nnz: &[usize],
-    schedule: &dyn RowSchedule,
-) -> SparseRun {
+) -> (SimStats, Vec<IterationInfo>) {
+    let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
+    assert!(
+        rn.supports_clusters(),
+        "sparse controller needs a cluster-capable RN"
+    );
+    if plan.input_stationary {
+        debug_assert_eq!(b.cols(), 1);
+        return (
+            input_stationary_accounting(config, operation, plan),
+            Vec::new(),
+        );
+    }
+    // The activation-sparsity (dual) mode reads the streaming operand's
+    // zero pattern per column; without it every column of an iteration
+    // costs the same and is charged in bulk.
+    let bt = config.exploit_activation_sparsity.then(|| b.transposed());
+    weight_stationary_accounting(config, operation, plan, b.cols(), bt.as_ref())
+}
+
+fn weight_stationary_accounting(
+    config: &AcceleratorConfig,
+    operation: &str,
+    plan: &Plan,
+    n: usize,
+    bt: Option<&Matrix>,
+) -> (SimStats, Vec<IterationInfo>) {
     let dn = DistributionNetwork::new(config.dn, config.ms_size, config.dn_bandwidth);
     let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
-    let (m, n) = (a.rows(), b.cols());
-    let mut out = Matrix::zeros(m, n);
     let mut stats = SimStats {
         accelerator: config.name.clone(),
-        operation: format!("{operation} [{}]", schedule.name()),
+        operation: format!("{operation} [{}]", plan.policy),
         ms_size: config.ms_size,
         ..SimStats::default()
     };
     let mut cycles: u64 = 0;
-    let mut iter_infos = Vec::new();
-    let iterations = pack_segments(order, row_nnz, config.ms_size, schedule.allow_skip());
-    let ctrl = Probe::new(Component::Controller);
-    let dn_probe = Probe::new(Component::DistributionNetwork);
-    let mn_probe = Probe::new(Component::MultiplierNetwork);
-    let rn_probe = Probe::new(Component::ReductionNetwork);
-
-    // Cache row entries once (CSR walk is the controller's metadata read)
-    // and transpose the streaming operand once so every column of the
-    // steady-state loop is a contiguous slice.
-    let rows: Vec<Vec<(usize, Elem)>> = (0..m).map(|r| a.row_entries(r).collect()).collect();
-    let bt = b.transposed();
-
-    // The activation-sparsity (dual) mode reads streaming values per
-    // column; without it every column of an iteration costs the same and
-    // the accounting is charged in bulk.
-    let dual = config.exploit_activation_sparsity;
-
-    for segments in &iterations {
-        let occupied: usize = segments.iter().map(|s| s.len).sum();
-
-        if !dual {
-            uniform_functional(&mut out, &bt, &rows, segments, n);
-            let (end, distinct_k) =
-                ws_iteration_accounting(&dn, &rn, &rows, segments, occupied, n, &mut stats, cycles);
-            cycles = end;
-            iter_infos.push(IterationInfo {
-                segments: segments.len(),
-                ms_occupied: occupied,
-                distinct_k,
-            });
-            continue;
-        }
-
-        // Activation-sparsity (dual) mode: per-column delivery depends on
-        // the streaming values, so the walk stays fully inline.
-        // Stationary load: every non-zero weight is a distinct value.
-        let load_cycles = dn.delivery_cycles(occupied).max(1);
-        ctrl.span("load-weights", cycles, cycles + load_cycles);
-        dn_probe.span("weights", cycles, cycles + load_cycles);
-        stats.breakdown.fill_cycles += load_cycles;
-        cycles += load_cycles;
-        dn.account(&mut stats.counters, occupied, occupied);
-        stats.counters.gb_reads += occupied as u64;
-        stats.counters.metadata_reads += segments.len() as u64 + occupied as u64;
-
-        // Union of stationary column indices = streaming fetch width.
-        let mut ks: Vec<usize> = segments
-            .iter()
-            .flat_map(|s| {
-                rows[s.row][s.start..s.start + s.len]
-                    .iter()
-                    .map(|(k, _)| *k)
-            })
-            .collect();
-        ks.sort_unstable();
-        ks.dedup();
-        let distinct_k = ks.len();
-        iter_infos.push(IterationInfo {
-            segments: segments.len(),
-            ms_occupied: occupied,
-            distinct_k,
-        });
-
-        let cluster_sizes: Vec<usize> = segments.iter().map(|s| s.len).collect();
-        let outcome = rn.reduce(&cluster_sizes);
-        let collect = rn.collection_cycles(segments.len());
-
-        // Streaming phase: one pipelined step per KN column; only the
-        // column's non-zero inputs among the stationary indices are
-        // delivered and multiplied.
-        let stream_start = cycles;
-        {
-            for col in 0..n {
-                let bcol = bt.row(col);
-                let delivered = ks.iter().filter(|&&k| bcol[k] != 0.0).count();
-                let mut col_mults: u64 = 0;
-                for seg in segments {
-                    let mut acc: Elem = 0.0;
-                    for &(k, w) in &rows[seg.row][seg.start..seg.start + seg.len] {
-                        let x = bcol[k];
-                        if x != 0.0 {
-                            col_mults += 1;
-                        }
-                        acc += w * x;
-                    }
-                    let cur = out.get(seg.row, col);
-                    out.set(seg.row, col, cur + acc);
-                    if seg.accumulate {
-                        stats.counters.accumulator_updates += 1;
-                    }
-                }
-                let step = dn.delivery_cycles(delivered).max(1).max(collect);
-                stats.counters.multiplications += col_mults;
-                stats.ms_busy_cycles += col_mults;
-                stats.counters.rn_adder_ops += outcome.adder_ops;
-                stats.counters.rn_collections += segments.len() as u64;
-                stats.counters.gb_writes += segments.len() as u64;
-                dn.account(&mut stats.counters, delivered, occupied);
-                stats.counters.gb_reads += delivered as u64;
-                stats.counters.metadata_reads += 1; // column bitmap word
-                let deliver_floor = dn.delivery_cycles(delivered).max(1);
-                stats.breakdown.steady_cycles += 1;
-                stats.breakdown.fifo_stall_cycles += deliver_floor.saturating_sub(1);
-                stats.breakdown.reduction_stall_cycles += step - deliver_floor;
-                cycles += step;
-                stats.compute_cycles += 1;
-                stats.bandwidth_stall_cycles += step.saturating_sub(1);
-            }
-        }
-        ctrl.span("stream", stream_start, cycles);
-        mn_probe.span("compute", stream_start, cycles);
-
-        // FAN pipeline fill/drain between reconfigurations (same reduce
-        // outcome as the streaming steps — memoized above).
-        let drain = outcome.latency + 1;
-        ctrl.span("drain", cycles, cycles + drain);
-        rn_probe.span("drain", cycles, cycles + drain);
-        stats.breakdown.drain_cycles += drain;
-        cycles += drain;
-        stats.iterations += 1;
+    let mut iter_infos = Vec::with_capacity(plan.iterations.len());
+    for segments in &plan.iterations {
+        let (end, info) =
+            ws_iteration_accounting(&dn, &rn, plan, segments, n, bt, &mut stats, cycles);
+        cycles = end;
+        iter_infos.push(info);
     }
-
     stats.cycles = cycles;
-    SparseRun {
-        output: out,
-        stats,
-        iterations: iter_infos,
-        input_stationary: false,
-    }
+    (stats, iter_infos)
 }
 
-/// Functional outputs of one uniform-branch packing iteration, column by
-/// column in the exact engine accumulation order (segment partial sums
-/// applied in packing order).
-fn uniform_functional(
-    out: &mut Matrix,
-    bt: &Matrix,
-    rows: &[Vec<(usize, Elem)>],
-    segments: &[Segment],
-    n: usize,
-) {
-    for col in 0..n {
-        let bcol = bt.row(col);
-        for seg in segments {
-            let mut acc: Elem = 0.0;
-            for &(k, w) in &rows[seg.row][seg.start..seg.start + seg.len] {
-                acc += w * bcol[k];
-            }
-            let cur = out.get(seg.row, col);
-            out.set(seg.row, col, cur + acc);
-        }
-    }
-}
-
-/// Timing/activity of one uniform-branch packing iteration: stationary
-/// load, the distinct-k union, `n` identical streaming steps charged in
-/// bulk, and the FAN drain. Starts at absolute cycle `cycles` (trace
-/// spans are absolute); returns `(end_cycle, distinct_k)`. Never reads
-/// streaming values.
+/// Timing/activity of one packing iteration: stationary load, the
+/// distinct-k union, `n` streaming steps and the FAN drain. Starts at
+/// absolute cycle `cycles` (trace spans are absolute); returns the end
+/// cycle and the iteration's packing info.
+///
+/// Without `bt` every column delivers the same `distinct_k` inputs and
+/// multiplies every mapped non-zero, so the `n` identical steps are
+/// charged in bulk and no streaming value is read. With `bt` (the
+/// transposed streaming operand, activation-sparsity mode) only a
+/// column's non-zero inputs among the stationary indices are delivered
+/// and multiplied, so each column is counted on its own zero pattern.
 #[allow(clippy::too_many_arguments)]
 fn ws_iteration_accounting(
     dn: &DistributionNetwork,
     rn: &ReductionNetwork,
-    rows: &[Vec<(usize, Elem)>],
+    plan: &Plan,
     segments: &[Segment],
-    occupied: usize,
     n: usize,
+    bt: Option<&Matrix>,
     stats: &mut SimStats,
     mut cycles: u64,
-) -> (u64, usize) {
+) -> (u64, IterationInfo) {
     let ctrl = Probe::new(Component::Controller);
     let dn_probe = Probe::new(Component::DistributionNetwork);
     let mn_probe = Probe::new(Component::MultiplierNetwork);
     let rn_probe = Probe::new(Component::ReductionNetwork);
+    let occupied: usize = segments.iter().map(|s| s.len).sum();
+    let mapped = |s: &Segment| plan.entries(s).map(|(k, _)| k);
 
     // Stationary load: every non-zero weight is a distinct value.
     let load_cycles = dn.delivery_cycles(occupied).max(1);
@@ -520,14 +445,7 @@ fn ws_iteration_accounting(
     stats.counters.metadata_reads += segments.len() as u64 + occupied as u64;
 
     // Union of stationary column indices = streaming fetch width.
-    let mut ks: Vec<usize> = segments
-        .iter()
-        .flat_map(|s| {
-            rows[s.row][s.start..s.start + s.len]
-                .iter()
-                .map(|(k, _)| *k)
-        })
-        .collect();
+    let mut ks: Vec<usize> = segments.iter().flat_map(mapped).collect();
     ks.sort_unstable();
     ks.dedup();
     let distinct_k = ks.len();
@@ -536,56 +454,75 @@ fn ws_iteration_accounting(
     let outcome = rn.reduce(&cluster_sizes);
     let collect = rn.collection_cycles(segments.len());
 
-    // Every column delivers the same `distinct_k` inputs and multiplies
-    // every mapped non-zero, so the per-column accounting is uniform: add
-    // the n identical step costs in bulk.
+    // Streaming phase: one pipelined step per KN column. `charge` books
+    // `cols` columns that each deliver `delivered` inputs and perform
+    // `mults` multiplications (the DN activity formulas are linear in
+    // (unique, dests), so one bulk call equals `cols` per-column calls).
     let stream_start = cycles;
-    let n64 = n as u64;
-    let step = dn.delivery_cycles(distinct_k).max(1).max(collect);
-    let deliver_floor = dn.delivery_cycles(distinct_k).max(1);
+    if bt.is_some() {
+        stats.counters.metadata_reads += n as u64; // column bitmap words
+    }
     let accumulating = segments.iter().filter(|s| s.accumulate).count() as u64;
-    stats.counters.accumulator_updates += accumulating * n64;
-    stats.counters.multiplications += occupied as u64 * n64;
-    stats.ms_busy_cycles += occupied as u64 * n64;
-    stats.counters.rn_adder_ops += outcome.adder_ops * n64;
-    stats.counters.rn_collections += segments.len() as u64 * n64;
-    stats.counters.gb_writes += segments.len() as u64 * n64;
-    // The DN activity formulas are linear in (unique, dests), so one bulk
-    // call equals n per-column calls.
-    dn.account(&mut stats.counters, distinct_k * n, occupied * n);
-    stats.counters.gb_reads += distinct_k as u64 * n64;
-    stats.breakdown.steady_cycles += n64;
-    stats.breakdown.fifo_stall_cycles += deliver_floor.saturating_sub(1) * n64;
-    stats.breakdown.reduction_stall_cycles += (step - deliver_floor) * n64;
-    cycles += step * n64;
-    stats.compute_cycles += n64;
-    stats.bandwidth_stall_cycles += step.saturating_sub(1) * n64;
+    let mut charge = |cols: usize, delivered: usize, mults: u64| {
+        let c64 = cols as u64;
+        let deliver_floor = dn.delivery_cycles(delivered).max(1);
+        let step = deliver_floor.max(collect);
+        stats.counters.accumulator_updates += accumulating * c64;
+        stats.counters.multiplications += mults * c64;
+        stats.ms_busy_cycles += mults * c64;
+        stats.counters.rn_adder_ops += outcome.adder_ops * c64;
+        stats.counters.rn_collections += segments.len() as u64 * c64;
+        stats.counters.gb_writes += segments.len() as u64 * c64;
+        dn.account(&mut stats.counters, delivered * cols, occupied * cols);
+        stats.counters.gb_reads += delivered as u64 * c64;
+        stats.breakdown.steady_cycles += c64;
+        stats.breakdown.fifo_stall_cycles += deliver_floor.saturating_sub(1) * c64;
+        stats.breakdown.reduction_stall_cycles += (step - deliver_floor) * c64;
+        cycles += step * c64;
+        stats.compute_cycles += c64;
+        stats.bandwidth_stall_cycles += step.saturating_sub(1) * c64;
+    };
+    match bt {
+        None => charge(n, distinct_k, occupied as u64),
+        Some(bt) => {
+            for col in 0..n {
+                let bcol = bt.row(col);
+                let delivered = ks.iter().filter(|&&k| bcol[k] != 0.0).count();
+                let mults = segments.iter().flat_map(mapped).filter(|&k| bcol[k] != 0.0);
+                charge(1, delivered, mults.count() as u64);
+            }
+        }
+    }
     ctrl.span("stream", stream_start, cycles);
     mn_probe.span("compute", stream_start, cycles);
 
     // FAN pipeline fill/drain between reconfigurations (same reduce
-    // outcome as the streaming steps — memoized above).
+    // outcome as the streaming steps).
     let drain = outcome.latency + 1;
     ctrl.span("drain", cycles, cycles + drain);
     rn_probe.span("drain", cycles, cycles + drain);
     stats.breakdown.drain_cycles += drain;
     cycles += drain;
     stats.iterations += 1;
-    (cycles, distinct_k)
+    let info = IterationInfo {
+        segments: segments.len(),
+        ms_occupied: occupied,
+        distinct_k,
+    };
+    (cycles, info)
 }
 
-fn run_input_stationary(
+/// Dispatch accounting of the GEMV input-stationary mapping: the dense
+/// input column loads stationary, then weight rows stream one dispatch
+/// per cycle minimum.
+fn input_stationary_accounting(
     config: &AcceleratorConfig,
     operation: &str,
-    a: &CsrMatrix,
-    b: &Matrix,
-    row_nnz: &[usize],
-) -> SparseRun {
+    plan: &Plan,
+) -> SimStats {
     let dn = DistributionNetwork::new(config.dn, config.ms_size, config.dn_bandwidth);
     let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
-    let (m, k) = (a.rows(), a.cols());
-    debug_assert_eq!(b.cols(), 1);
-    let mut out = Matrix::zeros(m, 1);
+    let k = plan.a.cols();
     let mut stats = SimStats {
         accelerator: config.name.clone(),
         operation: format!("{operation} [IS]"),
@@ -608,16 +545,8 @@ fn run_input_stationary(
 
     // Stream weight rows: one row dispatch per cycle minimum (metadata
     // decode granularity), more when a row exceeds the bandwidth.
-    for (row, &nnz) in row_nnz.iter().enumerate().take(m) {
-        if nnz == 0 {
-            continue;
-        }
-        let mut acc: Elem = 0.0;
-        for (kk, w) in a.row_entries(row) {
-            acc += w * b.get(kk, 0);
-        }
-        out.set(row, 0, acc);
-
+    let a = plan.a;
+    for nnz in (0..a.rows()).map(|r| a.row_nnz(r)).filter(|&nnz| nnz > 0) {
         let dispatch = (nnz as u64).div_ceil(config.dn_bandwidth as u64).max(1);
         cycles += dispatch;
         stats.compute_cycles += 1;
@@ -643,62 +572,7 @@ fn run_input_stationary(
     cycles += drain;
 
     stats.cycles = cycles;
-    SparseRun {
-        output: out,
-        stats,
-        iterations: Vec::new(),
-        input_stationary: true,
-    }
-}
-
-/// Recomputes the functional output of [`run_spmm`] without cycle-level
-/// simulation, mirroring the engine's exact f32 accumulation order
-/// (segment partial sums applied in packing order) so a simulation-cache
-/// replay is bitwise identical to the engine's output.
-///
-/// `input_stationary` must be the mode the original run chose (it is
-/// recorded in the cache entry); the two modes visit elements in
-/// different orders.
-pub(crate) fn replay_spmm(
-    config: &AcceleratorConfig,
-    a: &CsrMatrix,
-    b: &Matrix,
-    schedule: &dyn RowSchedule,
-    input_stationary: bool,
-) -> Matrix {
-    let (m, n) = (a.rows(), b.cols());
-    let row_nnz: Vec<usize> = (0..m).map(|r| a.row_nnz(r)).collect();
-    if input_stationary {
-        let mut out = Matrix::zeros(m, 1);
-        for (row, &nnz) in row_nnz.iter().enumerate() {
-            if nnz == 0 {
-                continue;
-            }
-            let mut acc: Elem = 0.0;
-            for (kk, w) in a.row_entries(row) {
-                acc += w * b.get(kk, 0);
-            }
-            out.set(row, 0, acc);
-        }
-        return out;
-    }
-    let order = schedule.order(&row_nnz);
-    let iterations = pack_segments(&order, &row_nnz, config.ms_size, schedule.allow_skip());
-    let rows: Vec<Vec<(usize, Elem)>> = (0..m).map(|r| a.row_entries(r).collect()).collect();
-    let mut out = Matrix::zeros(m, n);
-    for segments in &iterations {
-        for col in 0..n {
-            for seg in segments {
-                let mut acc: Elem = 0.0;
-                for &(k, w) in &rows[seg.row][seg.start..seg.start + seg.len] {
-                    acc += w * b.get(k, col);
-                }
-                let cur = out.get(seg.row, col);
-                out.set(seg.row, col, cur + acc);
-            }
-        }
-    }
-    out
+    stats
 }
 
 /// Runs an SpMM whose stationary operand arrives in the configured sparse
@@ -821,6 +695,12 @@ mod tests {
         let run = run_spmm(&cfg, "gemv", &CsrMatrix::from_dense(&a), &b, &NaturalOrder);
         assert!(run.input_stationary);
         assert_slices_close(run.output.as_slice(), gemm_reference(&a, &b).as_slice());
+        // Bitwise: each held row is one straight dot product, non-zeros
+        // ascending.
+        for r in 0..128 {
+            let dot = (0..64).fold(0.0, |acc: Elem, k| acc + a.get(r, k) * b.get(k, 0));
+            assert_eq!(run.output.get(r, 0).to_bits(), dot.to_bits(), "row {r}");
+        }
     }
 
     #[test]
@@ -905,29 +785,80 @@ mod tests {
         );
     }
 
-    #[test]
-    fn replay_matches_engine_output_bitwise() {
-        // Weight-stationary with folding (K=100 on 32 MS).
-        let a = sparse_a(12, 100, 0.6, 31);
-        let mut rng = SeededRng::new(32);
-        let b = Matrix::random(100, 5, &mut rng);
-        let cfg = AcceleratorConfig::sigma_like(32, 32);
-        let csr = CsrMatrix::from_dense(&a);
-        let run = run_spmm(&cfg, "ws", &csr, &b, &NaturalOrder);
-        assert!(!run.input_stationary);
-        let replay = replay_spmm(&cfg, &csr, &b, &NaturalOrder, false);
-        assert_eq!(run.output.as_slice(), replay.as_slice());
+    /// Largest-first issue order with skip-ahead packing.
+    struct LargestFirst;
+    impl RowSchedule for LargestFirst {
+        fn order(&self, row_nnz: &[usize]) -> Vec<usize> {
+            let mut order: Vec<usize> = (0..row_nnz.len()).collect();
+            order.sort_by_key(|&r| std::cmp::Reverse(row_nnz[r]));
+            order
+        }
+        fn name(&self) -> &str {
+            "LFF"
+        }
+        fn allow_skip(&self) -> bool {
+            true
+        }
+    }
 
-        // GEMV input-stationary mode.
-        let a = sparse_a(64, 32, 0.4, 33);
-        let mut rng = SeededRng::new(34);
-        let bv = Matrix::random(32, 1, &mut rng);
-        let cfg = AcceleratorConfig::sigma_like(128, 128);
-        let csr = CsrMatrix::from_dense(&a);
-        let run = run_spmm(&cfg, "is", &csr, &bv, &NaturalOrder);
-        assert!(run.input_stationary);
-        let replay = replay_spmm(&cfg, &csr, &bv, &NaturalOrder, true);
-        assert_eq!(run.output.as_slice(), replay.as_slice());
+    /// The accounting half is a function of zero structure alone (same
+    /// CSR pattern and streaming zero mask, different values: no
+    /// statistic moves), and the predictor's metadata prior is that
+    /// walk's cycle count wherever the walk reads no streaming value.
+    #[test]
+    fn accounting_is_value_blind_and_backs_the_metadata_prior() {
+        let mut ragged = sparse_a(9, 40, 0.0, 41);
+        let mut holes = sparse_a(6, 16, 0.3, 42);
+        for c in 0..40 {
+            (0..9)
+                .filter(|r| c > 4 * r + 3)
+                .for_each(|r| ragged.set(r, c, 0.0));
+            holes.set(0, c % 16, 0.0);
+            holes.set(4, c % 16, 0.0);
+        }
+        // (ms_size, bandwidth, stationary operand, N): dense, sparse,
+        // folding, ragged rows, zero rows, GEMV.
+        let patterns = [
+            (64, 64, sparse_a(8, 16, 0.0, 1), 5),
+            (32, 32, sparse_a(12, 20, 0.7, 3), 7),
+            (32, 32, sparse_a(12, 100, 0.6, 31), 5),
+            (16, 4, ragged, 3),
+            (64, 8, holes, 4),
+            (128, 128, sparse_a(64, 32, 0.4, 33), 1),
+        ];
+        let rescale = |m: &Matrix, f: Elem| {
+            let mut out = m.clone();
+            let values = out.as_mut_slice().iter_mut().enumerate();
+            values.for_each(|(i, v)| *v *= f + (i % 7) as Elem);
+            out
+        };
+        for (i, (ms, bw, a, n)) in patterns.into_iter().enumerate() {
+            let mut rng = SeededRng::new(60 + i as u64);
+            let mut b = Matrix::random(a.cols(), n, &mut rng);
+            for r in (0..b.rows()).step_by(3) {
+                b.set(r, r % n, 0.0);
+            }
+            let (csr, b2) = (CsrMatrix::from_dense(&a), rescale(&b, -2.5));
+            let csr2 = CsrMatrix::from_dense(&rescale(&a, 1.5));
+            for schedule in [&NaturalOrder as &dyn RowSchedule, &LargestFirst] {
+                for dual in [false, true] {
+                    let label = format!("pattern {i}, {}, dual {dual}", schedule.name());
+                    let mut cfg = AcceleratorConfig::sigma_like(ms, bw);
+                    cfg.exploit_activation_sparsity = dual;
+                    let one = run_spmm(&cfg, "v", &csr, &b, schedule);
+                    let two = run_spmm(&cfg, "v", &csr2, &b2, schedule);
+                    assert_eq!(one.stats, two.stats, "{label}");
+                    assert_eq!(one.iterations, two.iterations, "{label}");
+                    assert_ne!(one.output, two.output, "{label}: values did change");
+                    let prior = (!dual && !one.input_stationary).then_some(one.stats.cycles);
+                    assert_eq!(
+                        ws_metadata_cycles(&cfg, &csr, n, schedule),
+                        prior,
+                        "{label}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

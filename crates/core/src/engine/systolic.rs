@@ -15,6 +15,12 @@
 //! When the configured DN bandwidth is below the `tm + tn` elements/cycle
 //! the edges consume, injection is time-multiplexed and every streaming
 //! cycle stretches by the shortfall ratio (recorded as bandwidth stalls).
+//!
+//! # Two halves
+//!
+//! Per the [engine contract](super#two-halves): `functional` is the
+//! tile-blocked dot-product nest, `accounting` the per-tile closed forms
+//! over `(m, n, k)`, and [`run_gemm`] their composition.
 
 use crate::config::AcceleratorConfig;
 use crate::networks::{DistributionNetwork, MultiplierNetwork, ReductionNetwork};
@@ -41,15 +47,61 @@ pub fn run_gemm(
     a: &Matrix,
     b: &Matrix,
 ) -> (Matrix, SimStats) {
+    let out = functional(config, a, b);
+    let stats = accounting(config, operation, a.rows(), b.cols(), a.cols());
+    (out, stats)
+}
+
+/// The functional half: on the wavefront (PE *(i,j)* fires its MAC for
+/// inner index `kk` at cycle `fill + i + j + kk`) every PE accumulates its
+/// psum in ascending-`kk` order — exactly a straight dot product per
+/// output, computed here tile by tile instead of sweeping the grid cycle
+/// by cycle.
+///
+/// # Panics
+///
+/// Panics if the operand shapes disagree.
+pub(crate) fn functional(config: &AcceleratorConfig, a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "GEMM inner dimension mismatch");
     let dim = config.pe_dim();
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (m, n) = (a.rows(), b.cols());
+    let mut out = Matrix::zeros(m, n);
+    // Column-contiguous view of B: every PE column's operand stream is a
+    // slice, so each PE's MAC sequence is a contiguous dot product.
+    let bt = b.transposed();
+    for i_lo in (0..m).step_by(dim) {
+        for j_lo in (0..n).step_by(dim) {
+            let j_hi = (j_lo + dim).min(n);
+            for i in i_lo..(i_lo + dim).min(m) {
+                let arow = a.row(i);
+                let otile = &mut out.row_mut(i)[j_lo..j_hi];
+                for (o, j) in otile.iter_mut().zip(j_lo..j_hi) {
+                    let mut acc: Elem = 0.0;
+                    for (&av, &bv) in arow.iter().zip(bt.row(j)) {
+                        acc += av * bv;
+                    }
+                    *o = acc;
+                }
+            }
+        }
+    }
+    out
+}
 
+/// The accounting half: the wavefront's closed forms per output tile
+/// (see [`tile_accounting`]), tiles serialized. Depends on the problem
+/// extents and the configuration only.
+pub(crate) fn accounting(
+    config: &AcceleratorConfig,
+    operation: &str,
+    m: usize,
+    n: usize,
+    k: usize,
+) -> SimStats {
+    let dim = config.pe_dim();
     let dn = DistributionNetwork::new(config.dn, config.ms_size, config.dn_bandwidth);
     let mn = MultiplierNetwork::new(config.mn, config.ms_size);
     let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
-
-    let mut out = Matrix::zeros(m, n);
     let mut stats = SimStats {
         accelerator: config.name.clone(),
         operation: operation.to_owned(),
@@ -57,54 +109,24 @@ pub fn run_gemm(
         ..SimStats::default()
     };
     let mut cycles: u64 = 0;
-    // Column-contiguous view of B: every PE column's operand stream is a
-    // slice, so each PE's MAC sequence is a contiguous dot product.
-    let bt = b.transposed();
-
     for tile_i in 0..m.div_ceil(dim) {
         for tile_j in 0..n.div_ceil(dim) {
-            let i_lo = tile_i * dim;
-            let i_hi = (i_lo + dim).min(m);
-            let j_lo = tile_j * dim;
-            let j_hi = (j_lo + dim).min(n);
-            let tm = i_hi - i_lo;
-            let tn = j_hi - j_lo;
-
-            // Functional model: on the wavefront (PE (i,j) fires its MAC
-            // for inner index kk at cycle fill + i + j + kk) every PE
-            // accumulates its psum in ascending-kk order — exactly a
-            // straight dot product per output, computed here directly
-            // instead of sweeping the grid cycle by cycle. Timing and
-            // activity are the wavefront's closed forms (see
-            // [`tile_accounting`]): every PE is busy for exactly K MACs
-            // (busy_total = tm·tn·K) and the front needs K + tm + tn - 2
-            // streaming cycles.
-            for i in 0..tm {
-                let arow = a.row(i_lo + i);
-                let orow = out.row_mut(i_lo + i);
-                for j in 0..tn {
-                    let bcol = bt.row(j_lo + j);
-                    let mut acc: Elem = 0.0;
-                    for (&av, &bv) in arow.iter().zip(bcol) {
-                        acc += av * bv;
-                    }
-                    orow[j_lo + j] = acc;
-                }
-            }
-
+            let tm = (m - tile_i * dim).min(dim);
+            let tn = (n - tile_j * dim).min(dim);
             cycles = tile_accounting(
                 config, &dn, &mn, &rn, k, tm, tn, tile_i, tile_j, &mut stats, cycles,
             );
         }
     }
-
     stats.cycles = cycles;
-    (out, stats)
+    stats
 }
 
 /// Closed-form timing/activity of one `(tm, tn)` output tile, starting at
 /// absolute cycle `cycles` (trace spans are absolute); returns the cycle
-/// after the tile's drain. Depends only on the tile class, K, and the
+/// after the tile's drain. Every PE is busy for exactly K MACs
+/// (`busy_total = tm·tn·K`) and the front needs `K + tm + tn - 2`
+/// streaming cycles. Depends only on the tile class, K, and the
 /// configuration; the grid position only labels the trace span.
 #[allow(clippy::too_many_arguments)]
 fn tile_accounting(
@@ -239,6 +261,23 @@ mod tests {
             );
             assert_eq!(stats.cycles, expected_cycles(16, m, n, k));
         }
+    }
+
+    #[test]
+    fn accounting_depends_on_shape_only() {
+        // Ragged tiles, reduced bandwidth: different operand values must
+        // not move a single statistic.
+        let mut cfg = AcceleratorConfig::tpu_like(8);
+        cfg.dn_bandwidth = 4;
+        let run = |seed| {
+            let mut rng = SeededRng::new(seed);
+            let a = Matrix::random(11, 21, &mut rng);
+            let b = Matrix::random(21, 19, &mut rng);
+            run_gemm(&cfg, "gemm", &a, &b)
+        };
+        let ((out1, stats1), (out2, stats2)) = (run(10), run(11));
+        assert_eq!(stats1, stats2);
+        assert_ne!(out1, out2, "values did change");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! [`LayerFeatures`] record (the same per-layer signature the simulation
 //! cache keys on — engine kind, geometry, tile shape, sparsity-pattern
 //! stats, DRAM configuration) and asks the predictor for a cycle count.
-//! Functional outputs are computed with the reference kernels, DRAM
+//! Functional outputs come from the engines' own functional kernels
+//! (bitwise identical to an exact run), DRAM
 //! stalls are re-applied outside the prediction exactly as they are
 //! outside the cache, and the synthesized [`SimStats`] keep their
 //! invariants (the breakdown sums to `cycles`, `engine_invocations` is
@@ -202,7 +203,7 @@ impl LayerFeatures {
             t_k: tile.t_k * tile.t_g,
             t_pos: tile.t_n * tile.t_xp * tile.t_yp,
             yp: layer.yp,
-            trivial_addrs: crate::engine::flexible::has_trivial_addrs(operand),
+            trivial_addrs: crate::engine::flexible::has_trivial_addrs(&operand.addrs),
             ..Self::base(config, EngineKind::FlexibleDense, &key)
         }
     }
@@ -340,7 +341,7 @@ pub trait CyclePredictor: Send + Sync + std::fmt::Debug {
 /// cycles all land in the steady phase (so the breakdown still sums to
 /// `cycles`), the multiplication counter carries the exact MAC count,
 /// and `engine_invocations` stays 0. DRAM stalls are layered on by the
-/// caller's `record`, exactly as for a cache replay.
+/// caller's `record`, exactly as for a cache hit.
 pub(crate) fn predicted_stats(
     config: &AcceleratorConfig,
     name: &str,

@@ -453,39 +453,72 @@ fn run_parallel_waves(
         if offloaded.is_empty() {
             continue;
         }
-        let tasks: Vec<_> = offloaded
-            .iter()
-            .map(|&id| {
-                let ins: Vec<&Value> = model.nodes()[id]
-                    .inputs
+        // With a cache attached, ops of one wave that can produce the
+        // same layer-cache key — same op (which fixes the weight shape)
+        // on same-shaped inputs, like BERT's Q/K/V projections — must not
+        // race for the miss: the lowest node index of each such group
+        // runs in a first pass and takes it exactly as in the sequential
+        // run, the rest fan out in a second pass and hit. Everything else
+        // (and every op of an uncached run) is in the first pass. The
+        // grouping is a stand-in for `CacheKey` equality, which only
+        // `stonne-core` can decide: ops it keeps apart can still share a
+        // key (on the systolic engine the key is just M, N, K).
+        let input_values = |id: usize| -> Vec<&Value> {
+            model.nodes()[id]
+                .inputs
+                .iter()
+                .map(|&dep| values[dep].as_ref().expect("dependency ready"))
+                .collect()
+        };
+        let same_key = |a: usize, b: usize| {
+            options.cache.is_some()
+                && model.nodes()[a].op == model.nodes()[b].op
+                && input_values(a)
                     .iter()
-                    .map(|&dep| values[dep].as_ref().expect("dependency ready"))
-                    .collect();
-                let config = config.clone();
-                let schedule = Arc::clone(&schedule);
-                let cache = options.cache.clone();
-                let predictor = options.predictor.clone();
-                let context = context.clone();
-                let intra_workers = options.intra_worker_budget();
-                move || {
-                    let mut sim = Stonne::new(config)
-                        .expect("config validated above")
-                        .with_intra_tiles(intra_workers)
-                        .with_context(context);
-                    if let Some(cache) = cache {
-                        sim = sim.with_cache(cache);
+                    .map(|v| v.shape())
+                    .eq(input_values(b).iter().map(|v| v.shape()))
+        };
+        let (mut leaders, mut followers) = (Vec::new(), Vec::new());
+        for &id in &offloaded {
+            if leaders.iter().any(|&leader| same_key(leader, id)) {
+                followers.push(id);
+            } else {
+                leaders.push(id);
+            }
+        }
+        let mut done = Vec::with_capacity(offloaded.len());
+        for pass in [leaders, followers] {
+            let tasks: Vec<_> = pass
+                .iter()
+                .map(|&id| {
+                    let ins = input_values(id);
+                    let config = config.clone();
+                    let schedule = Arc::clone(&schedule);
+                    let cache = options.cache.clone();
+                    let predictor = options.predictor.clone();
+                    let context = context.clone();
+                    let intra_workers = options.intra_worker_budget();
+                    move || {
+                        let mut sim = Stonne::new(config)
+                            .expect("config validated above")
+                            .with_intra_tiles(intra_workers)
+                            .with_context(context);
+                        if let Some(cache) = cache {
+                            sim = sim.with_cache(cache);
+                        }
+                        if let Some(predictor) = predictor {
+                            sim = sim.with_predictor(predictor);
+                        }
+                        let mut backend = SimBackend::new(sim).with_schedule(schedule);
+                        let out = execute_node(model, id, params, input, &ins, &mut backend);
+                        (out, backend.into_sim().history().to_vec())
                     }
-                    if let Some(predictor) = predictor {
-                        sim = sim.with_predictor(predictor);
-                    }
-                    let mut backend = SimBackend::new(sim).with_schedule(schedule);
-                    let out = execute_node(model, id, params, input, &ins, &mut backend);
-                    (out, backend.into_sim().history().to_vec())
-                }
-            })
-            .collect();
-        let results = run_parallel(tasks).unwrap_or_else(|e| panic!("{e}"));
-        for (&id, (out, stats)) in offloaded.iter().zip(results) {
+                })
+                .collect();
+            let results = run_parallel(tasks).unwrap_or_else(|e| panic!("{e}"));
+            done.extend(pass.into_iter().zip(results));
+        }
+        for (id, (out, stats)) in done {
             values[id] = Some(out);
             node_stats[id] = stats;
             remaining -= 1;

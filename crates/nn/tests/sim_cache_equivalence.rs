@@ -15,19 +15,28 @@ fn strip_cache_counters(mut s: SimStats) -> SimStats {
     s
 }
 
-fn run_bert(config: AcceleratorConfig, options: RunOptions) -> ModelRun {
+/// Tiny BERT with its generated weights and input (generation dominates
+/// a Tiny run, so a test that runs it repeatedly builds it once).
+type Bert = (stonne_models::ModelSpec, ModelParams, stonne_nn::Value);
+
+fn tiny_bert() -> Bert {
     let model = zoo::build(ModelId::Bert, ModelScale::Tiny);
     let params = ModelParams::generate(&model, 17);
     let input = generate_input(&model, 18);
-    run_model_simulated_with(
-        &model,
-        &params,
-        &input,
-        config,
-        Arc::new(NaturalOrder),
-        options,
-    )
-    .expect("valid preset")
+    (model, params, input)
+}
+
+fn run_on(
+    (model, params, input): &Bert,
+    config: AcceleratorConfig,
+    options: RunOptions,
+) -> ModelRun {
+    let schedule = Arc::new(NaturalOrder);
+    run_model_simulated_with(model, params, input, config, schedule, options).expect("valid preset")
+}
+
+fn run_bert(config: AcceleratorConfig, options: RunOptions) -> ModelRun {
+    run_on(&tiny_bert(), config, options)
 }
 
 fn assert_equivalent(reference: &ModelRun, candidate: &ModelRun, label: &str) {
@@ -112,6 +121,32 @@ fn parallel_bert_run_matches_the_sequential_run() {
     let sequential = run_bert(config.clone(), RunOptions::new());
     let parallel = run_bert(config, RunOptions::new().parallel());
     assert_equivalent(&sequential, &parallel, "parallel-vs-sequential");
+}
+
+#[test]
+fn parallel_cached_bert_reports_the_sequential_cache_counters() {
+    // BERT's Q/K/V projections sit in one wave and share a layer-cache
+    // key: whichever runs first takes the miss. The parallel runner must
+    // give it to the lowest node index, as the sequential run does, so
+    // the raw (uncleared) totals and per-layer stats agree — hits, misses
+    // and engine invocations included. Repeated, because the losing
+    // interleaving only shows up on some runs of a multi-core host.
+    let bert = tiny_bert();
+    for config in [
+        AcceleratorConfig::tpu_like(8),
+        AcceleratorConfig::maeri_like(64, 16),
+    ] {
+        let sequential = run_on(&bert, config.clone(), RunOptions::new());
+        for round in 0..10 {
+            let parallel = run_on(&bert, config.clone(), RunOptions::new().parallel());
+            let label = format!("{} round {round}", config.name);
+            assert_eq!(sequential.total, parallel.total, "{label}");
+            assert_eq!(sequential.layers.len(), parallel.layers.len(), "{label}");
+            for (a, b) in sequential.layers.iter().zip(&parallel.layers) {
+                assert_eq!(a.stats, b.stats, "{label}: layer `{}`", a.name);
+            }
+        }
+    }
 }
 
 #[test]

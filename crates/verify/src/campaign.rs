@@ -330,35 +330,6 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<VerifyReport, String> {
     Ok(acc.into_report(&cfg, wall))
 }
 
-/// Parses a `--shard I/N` spec into `(shard_index, shard_count)`.
-///
-/// # Errors
-///
-/// Returns a clear description (suitable for direct CLI display) when
-/// the spec is not of the form `I/N`, either side is not an integer,
-/// `N == 0`, or `I >= N` — a misconfigured shard must fail loudly, not
-/// silently contribute an empty or overlapping slice to a merge.
-pub fn parse_shard_spec(spec: &str) -> Result<(u64, u64), String> {
-    let (i, n) = spec
-        .split_once('/')
-        .ok_or_else(|| format!("--shard expects I/N (got {spec:?})"))?;
-    let index: u64 = i
-        .parse()
-        .map_err(|_| format!("--shard index {i:?} is not a non-negative integer"))?;
-    let count: u64 = n
-        .parse()
-        .map_err(|_| format!("--shard count {n:?} is not a non-negative integer"))?;
-    if count == 0 {
-        return Err("--shard count must be at least 1 (got 0)".to_owned());
-    }
-    if index >= count {
-        return Err(format!(
-            "--shard index {index} is out of range for {count} shard(s) (need I < N)"
-        ));
-    }
-    Ok((index, count))
-}
-
 /// Builds a campaign check asserting the average |divergence| of a
 /// sample population stays under `limit_pct`.
 fn average_check(name: &str, divs: &[f64], limit_pct: f64) -> CampaignCheck {
@@ -486,28 +457,6 @@ mod tests {
             "foreign roster"
         );
         assert!(merge_shards(&[a, b]).is_ok());
-    }
-
-    /// Satellite regression: `--shard i/n` with `i >= n` or `n == 0`
-    /// must be refused with a clear error, never run as an empty or
-    /// overlapping slice.
-    #[test]
-    fn shard_spec_parsing_rejects_degenerate_specs() {
-        assert_eq!(parse_shard_spec("0/1"), Ok((0, 1)));
-        assert_eq!(parse_shard_spec("3/4"), Ok((3, 4)));
-        let reject = |spec: &str, needle: &str| {
-            let err = parse_shard_spec(spec).expect_err(spec);
-            assert!(err.contains(needle), "{spec:?} -> {err:?}");
-        };
-        reject("4/4", "out of range");
-        reject("9/2", "out of range");
-        reject("0/0", "at least 1");
-        reject("1/0", "at least 1");
-        reject("02", "expects I/N");
-        reject("", "expects I/N");
-        reject("a/4", "not a non-negative integer");
-        reject("1/b", "not a non-negative integer");
-        reject("-1/4", "not a non-negative integer");
     }
 
     #[test]

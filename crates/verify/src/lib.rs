@@ -37,9 +37,7 @@ pub mod shrink;
 pub mod statehash;
 pub mod tolerance;
 
-pub use campaign::{
-    merge_shards, parse_shard_spec, run_campaign, run_shard, CampaignConfig, SampleSpace,
-};
+pub use campaign::{merge_shards, run_campaign, run_shard, CampaignConfig, SampleSpace};
 pub use gen::Workload;
 pub use oracle::{check_workload, OracleOutcome, SampleCheck, ORACLES};
 pub use report::{ShardReport, VerifyReport};

@@ -21,7 +21,8 @@
 
 use std::process::ExitCode;
 
-use stonne_verify::campaign::{merge_shards, parse_shard_spec, run_shard, SampleSpace};
+use stonne_bench::perf::parse_shard_spec;
+use stonne_verify::campaign::{merge_shards, run_shard, SampleSpace};
 use stonne_verify::report::ShardReport;
 use stonne_verify::{run_campaign, state_hash_manifest, CampaignConfig, VerifyReport};
 
@@ -80,10 +81,11 @@ fn parse_args() -> Args {
             "--no-shrink" => args.shrink = false,
             "--shard" => {
                 let spec = it.next().unwrap_or_else(|| usage());
-                args.shard = Some(parse_shard_spec(&spec).unwrap_or_else(|e| {
+                let (index, count) = parse_shard_spec(&spec).unwrap_or_else(|e| {
                     eprintln!("verify: {e}");
                     std::process::exit(2);
-                }));
+                });
+                args.shard = Some((index as u64, count as u64));
             }
             "--help" | "-h" => usage(),
             _ => usage(),
