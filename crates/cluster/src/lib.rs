@@ -55,7 +55,7 @@ pub mod sim;
 pub mod spec;
 pub mod workload;
 
-pub use profile::{build_profiles, ExecMode, LayerProfile, RequestProfile};
+pub use profile::{build_profiles, ExecMode, LayerProfile, ModelInputs, RequestProfile};
 pub use report::{ClassReport, ClusterReport, InstanceReport, LatencySummary, ScenarioReport};
 pub use sim::{InstanceUsage, RequestRecord};
 pub use spec::{

@@ -13,9 +13,10 @@ use crate::spec::{parse_model, parse_scale, ClusterRequest};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use stonne::core::{NaturalOrder, SimCache, SimContext, SimStats};
-use stonne::models::zoo;
+use stonne::models::{zoo, ModelSpec};
 use stonne::nn::params::{generate_input, ModelParams};
 use stonne::nn::runner::{run_model_simulated_with, RunOptions};
+use stonne::nn::Value;
 
 /// How phase 1 executes its (instance, model) profiling runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,11 +54,56 @@ pub struct RequestProfile {
     pub total: SimStats,
 }
 
-/// Profiles one (instance, model) pair.
+/// What a simulated inference consumes that does not depend on the
+/// accelerator. Generating a set costs far more than sharing one, so
+/// [`build_profiles`] makes one per model for all instances and the sweep
+/// server one per `(model, scale, sparsity, seed)` for all architectures.
+#[derive(Debug)]
+pub struct ModelInputs {
+    /// The model graph.
+    pub model: ModelSpec,
+    /// Weights generated with `seed` and pruned to the requested sparsity.
+    pub params: ModelParams,
+    /// The input sample, generated with `seed ^ 1`.
+    pub input: Value,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Sets generated on this thread (each test runs on its own).
+    static GENERATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl ModelInputs {
+    /// Builds the named model and generates its weights and input;
+    /// `sparsity` of `None` means the model's own published ratio.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming an unknown model or scale.
+    pub fn generate(
+        name: &str,
+        scale: &str,
+        seed: u64,
+        sparsity: Option<f64>,
+    ) -> Result<Self, String> {
+        #[cfg(test)]
+        GENERATED.with(|n| n.set(n.get() + 1));
+        let model = zoo::build(parse_model(name)?, parse_scale(scale)?);
+        let sparsity = sparsity.unwrap_or_else(|| model.weight_sparsity());
+        Ok(Self {
+            params: ModelParams::generate_with_sparsity(&model, seed, sparsity),
+            input: generate_input(&model, seed ^ 1),
+            model,
+        })
+    }
+}
+
+/// Profiles one model on one instance.
 fn profile_one(
     request: &ClusterRequest,
     instance: usize,
-    model_index: usize,
+    inputs: &ModelInputs,
     cache: &SimCache,
     context: &SimContext,
     parallel: bool,
@@ -71,13 +117,6 @@ fn profile_one(
     // event loop charges only the additional arbitration wait on top.
     cfg.dram = request.dram.unwrap_or_default().config();
     cfg.model_dram = true;
-    let model_ref = &request.models[model_index];
-    let id = parse_model(&model_ref.name)?;
-    let scale = parse_scale(&model_ref.scale)?;
-    let model = zoo::build(id, scale);
-    let sparsity = request.sparsity.unwrap_or_else(|| model.weight_sparsity());
-    let params = ModelParams::generate_with_sparsity(&model, request.seed, sparsity);
-    let input = generate_input(&model, request.seed ^ 1);
     let mut options = RunOptions::new()
         .with_context(context.clone())
         .with_cache(cache.clone());
@@ -85,9 +124,9 @@ fn profile_one(
         options = options.parallel();
     }
     let run = run_model_simulated_with(
-        &model,
-        &params,
-        &input,
+        &inputs.model,
+        &inputs.params,
+        &inputs.input,
         cfg,
         Arc::new(NaturalOrder),
         options,
@@ -127,6 +166,12 @@ pub fn build_profiles(
 ) -> Result<Vec<Vec<RequestProfile>>, String> {
     let instances = request.instances.len();
     let models = request.models.len();
+    // One input set per model, shared by every instance that profiles it.
+    let inputs = request
+        .models
+        .iter()
+        .map(|m| ModelInputs::generate(&m.name, &m.scale, request.seed, request.sparsity))
+        .collect::<Result<Vec<_>, String>>()?;
     // One context for the whole profiling phase: every (instance, model)
     // pair reuses its scratch pool instead of re-growing one per pair.
     let context = SimContext::new();
@@ -134,19 +179,24 @@ pub fn build_profiles(
         ExecMode::Serial => {
             let mut out = Vec::with_capacity(instances * models);
             for i in 0..instances {
-                for m in 0..models {
-                    out.push(profile_one(request, i, m, cache, &context, false)?);
+                for set in &inputs {
+                    out.push(profile_one(request, i, set, cache, &context, false)?);
                 }
             }
             out
         }
         ExecMode::Pool => {
+            let inputs = Arc::new(inputs);
             let tasks: Vec<_> = (0..instances * models)
                 .map(|k| {
                     let request = request.clone();
+                    let inputs = Arc::clone(&inputs);
                     let cache = cache.clone();
                     let context = context.clone();
-                    move || profile_one(&request, k / models, k % models, &cache, &context, true)
+                    move || {
+                        let set = &inputs[k % models];
+                        profile_one(&request, k / models, set, &cache, &context, true)
+                    }
                 })
                 .collect();
             stonne::nn::run_parallel(tasks)
@@ -228,6 +278,23 @@ mod tests {
         }
         // Heterogeneity is real: the two instances disagree on cost.
         assert_ne!(serial[0][0].cycles, serial[1][0].cycles);
+    }
+
+    #[test]
+    fn one_model_on_three_instances_generates_one_input_set() {
+        let mut request = tiny_request();
+        request.models.truncate(1);
+        request.instances.push(InstanceSpec {
+            arch: "sigma".into(),
+            ms: 64,
+            bw: 32,
+        });
+        for mode in [ExecMode::Serial, ExecMode::Pool] {
+            let before = GENERATED.with(std::cell::Cell::get);
+            let profiles = build_profiles(&request, &SimCache::new(), mode).unwrap();
+            assert_eq!(GENERATED.with(std::cell::Cell::get) - before, 1, "{mode:?}");
+            assert_eq!((profiles.len(), profiles[0].len()), (3, 1));
+        }
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! then sparsities. Each point is an independent, fully-seeded
 //! simulation, so a sweep produces identical bytes no matter how its
 //! points are sharded across workers.
+//!
+//! Running a point is two steps: `build_inputs` generates what does not
+//! depend on the architecture (model graph, pruned weights, input
+//! sample), and `run_point_on` simulates one architecture on such a
+//! set, at exact or fast fidelity. [`run_point`] and its variants do both
+//! for a single point; the job executor does the first step once per
+//! `(model, scale, sparsity, seed)` and the second once per point.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -16,8 +23,8 @@ use stonne::core::{
 };
 use stonne::energy::EnergyBreakdown;
 use stonne::models::{zoo, ModelId, ModelScale};
-use stonne::nn::params::{generate_input, ModelParams};
 use stonne::nn::runner::{run_model_simulated_with, RunOptions};
+use stonne_cluster::ModelInputs;
 
 /// Upper bound on the number of points one request may expand to.
 pub const MAX_POINTS: usize = 4096;
@@ -297,10 +304,9 @@ pub fn run_point(point: &SweepPoint, cache: &SimCache) -> Result<(PointResult, S
     run_point_ctx(point, cache, &SimContext::new())
 }
 
-/// [`run_point`] threaded through a shared [`SimContext`]: the job
-/// executor passes its per-job context so pooled engine scratch survives
-/// across the points of a sweep instead of being torn down with each
-/// point's simulator instances.
+/// [`run_point`] threaded through a shared [`SimContext`], so pooled
+/// engine scratch survives across calls instead of being torn down with
+/// each point's simulator instances.
 ///
 /// # Errors
 ///
@@ -310,71 +316,61 @@ pub fn run_point_ctx(
     cache: &SimCache,
     context: &SimContext,
 ) -> Result<(PointResult, SimStats), String> {
-    let id = parse_model(&point.model)?;
-    let scale = parse_scale(&point.scale)?;
-    let cfg = config_for(&ArchSpec {
-        arch: point.arch.clone(),
-        ms: point.ms,
-        bw: point.bw,
-    })?;
-    let model = zoo::build(id, scale);
-    let params = ModelParams::generate_with_sparsity(&model, point.seed, point.sparsity);
-    let input = generate_input(&model, point.seed ^ 1);
-    let options = RunOptions::new()
-        .with_cache(cache.clone())
-        .with_context(context.clone());
-    let run = run_model_simulated_with(
-        &model,
-        &params,
-        &input,
-        cfg,
-        Arc::new(NaturalOrder),
-        options,
-    )
-    .map_err(|e| e.to_string())?;
-    let total = run.total;
-    let result = PointResult {
-        point: point.clone(),
-        cycles: total.cycles,
-        compute_cycles: total.compute_cycles,
-        dram_stall_cycles: total.dram_stall_cycles,
-        utilization: total.ms_utilization(),
-        multiplications: total.counters.multiplications,
-        layers: run.layers.len(),
-        breakdown: total.breakdown,
-        energy: run.energy,
-        fidelity: "exact".to_owned(),
-        predicted_cycles: 0,
-    };
-    Ok((result, total))
+    run_point_on(point, &build_inputs(point)?, Some((cache, context)))
 }
 
 /// Runs one sweep point at fast fidelity: every offloaded layer's
 /// cycles come from the committed predictor instead of the engines.
-/// Runs uncached — predicted stats are not memoizable, and a fast point
-/// must never seed the exact result store.
 ///
 /// # Errors
 ///
 /// Returns a message when the point's configuration is invalid.
 pub fn run_point_fast(point: &SweepPoint) -> Result<(PointResult, SimStats), String> {
-    let id = parse_model(&point.model)?;
-    let scale = parse_scale(&point.scale)?;
+    run_point_on(point, &build_inputs(point)?, None)
+}
+
+/// Generates the architecture-independent inputs of `point`, a pure
+/// function of its `(model, scale, sparsity, seed)`: every architecture
+/// of a sweep can run on one shared set (see [`crate::job`]).
+///
+/// # Errors
+///
+/// Returns a message when the point's model or scale name is invalid.
+pub(crate) fn build_inputs(point: &SweepPoint) -> Result<ModelInputs, String> {
+    ModelInputs::generate(&point.model, &point.scale, point.seed, Some(point.sparsity))
+}
+
+/// Runs `point` on inputs built by [`build_inputs`] for it (or for any
+/// point with the same model, scale, sparsity and seed). `exact` carries
+/// the cache and context of a cycle-level run; `None` selects fast
+/// fidelity, which runs uncached — predicted stats are not memoizable,
+/// and a fast point must never seed the exact result store.
+///
+/// # Errors
+///
+/// Returns a message when the point's architecture is invalid.
+pub(crate) fn run_point_on(
+    point: &SweepPoint,
+    inputs: &ModelInputs,
+    exact: Option<(&SimCache, &SimContext)>,
+) -> Result<(PointResult, SimStats), String> {
     let cfg = config_for(&ArchSpec {
         arch: point.arch.clone(),
         ms: point.ms,
         bw: point.bw,
     })?;
-    let model = zoo::build(id, scale);
-    let params = ModelParams::generate_with_sparsity(&model, point.seed, point.sparsity);
-    let input = generate_input(&model, point.seed ^ 1);
-    let options = RunOptions::new()
-        .uncached()
-        .with_predictor(stonne::predict::Model::committed());
+    let options = match exact {
+        Some((cache, context)) => RunOptions::new()
+            .with_cache(cache.clone())
+            .with_context(context.clone()),
+        None => RunOptions::new()
+            .uncached()
+            .with_predictor(stonne::predict::Model::committed()),
+    };
     let run = run_model_simulated_with(
-        &model,
-        &params,
-        &input,
+        &inputs.model,
+        &inputs.params,
+        &inputs.input,
         cfg,
         Arc::new(NaturalOrder),
         options,
@@ -391,8 +387,8 @@ pub fn run_point_fast(point: &SweepPoint) -> Result<(PointResult, SimStats), Str
         layers: run.layers.len(),
         breakdown: total.breakdown,
         energy: run.energy,
-        fidelity: "fast".to_owned(),
-        predicted_cycles: total.cycles,
+        fidelity: if exact.is_some() { "exact" } else { "fast" }.to_owned(),
+        predicted_cycles: if exact.is_some() { 0 } else { total.cycles },
     };
     Ok((result, total))
 }

@@ -13,17 +13,26 @@
 //! only through the store — so the per-job store counters report true
 //! cross-job reuse: a fully warm job shows `hits == unique layers` and
 //! zero engine invocations.
+//!
+//! A point's weights and input sample depend on `(model, scale, sparsity,
+//! seed)` but not on the architecture, so a job generates each such set
+//! once and its points share it: the first worker to need a set builds
+//! it while peers needing the same one wait, and the last point of the
+//! key drops it. Tasks are enqueued key-major, so at most one set per
+//! worker is alive at a time; results still *stream* in `index` order.
 
 use crate::api::{
-    expand, parse_fidelity, run_point_ctx, run_point_fast, PointResult, SweepPoint, SweepRequest,
+    build_inputs, expand, parse_fidelity, run_point_ctx, run_point_on, Expansion, PointResult,
+    SweepPoint, SweepRequest,
 };
 use serde::Serialize;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use stonne::core::{code_fingerprint, DiskStore, SimCache, SimContext, StoreCounters};
+use stonne_cluster::ModelInputs;
 
 /// Aggregate simulation-cache activity of one job.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
@@ -100,6 +109,23 @@ struct Progress {
     counters: JobCounters,
     frontier: Vec<FrontierPoint>,
     done: bool,
+    /// One slot per distinct input key, in order of first occurrence.
+    inputs: Vec<InputSlot>,
+}
+
+/// A shared input set, or the reason it could not be built. Workers block
+/// on the cell while one of them fills it; no mutex is held meanwhile.
+type InputCell = Arc<OnceLock<Result<ModelInputs, String>>>;
+
+/// The input set shared by every point of one `(model, scale, sparsity,
+/// seed)` key of a job.
+#[derive(Debug, Default)]
+struct InputSlot {
+    /// Points of this key not yet recorded (finished, resumed or failed).
+    pending: usize,
+    /// Present from the first point that needs the set until the last
+    /// pending one is recorded.
+    cell: Option<InputCell>,
 }
 
 /// One submitted sweep: its expanded points plus live progress.
@@ -126,16 +152,34 @@ pub struct Job {
     /// Fast fidelity: points run through the committed predictor and
     /// only the Pareto frontier is re-scored exactly.
     fast: bool,
+    /// `points[i]` runs on the inputs of slot `slot_of[i]`.
+    slot_of: Vec<usize>,
+    /// Input sets generated so far (a fully resumed job generates none).
+    pub(crate) inputs_built: AtomicUsize,
 }
 
 impl Job {
     fn new(
         id: String,
         request: &SweepRequest,
-        expansion: crate::api::Expansion,
+        expansion: Expansion,
         store: Option<&DiskStore>,
     ) -> Self {
-        let crate::api::Expansion { points, collapsed } = expansion;
+        let Expansion { points, collapsed } = expansion;
+        let mut slots = HashMap::new();
+        let mut inputs: Vec<InputSlot> = Vec::new();
+        let slot_of = points
+            .iter()
+            .map(|p| {
+                let key = (&p.model, &p.scale, p.sparsity.to_bits(), p.seed);
+                let slot = *slots.entry(key).or_insert(inputs.len());
+                if slot == inputs.len() {
+                    inputs.push(InputSlot::default());
+                }
+                inputs[slot].pending += 1;
+                slot
+            })
+            .collect();
         let scoped = store.map(DiskStore::scoped);
         let mut cache = SimCache::new();
         if let Some(s) = &scoped {
@@ -143,6 +187,7 @@ impl Job {
         }
         let progress = Progress {
             results: vec![None; points.len()],
+            inputs,
             ..Progress::default()
         };
         Self {
@@ -156,7 +201,17 @@ impl Job {
             context: SimContext::new(),
             store: scoped,
             fast: parse_fidelity(&request.fidelity).unwrap_or(false),
+            slot_of,
+            inputs_built: AtomicUsize::new(0),
         }
+    }
+
+    /// The shared input cell of point `index`, created empty by the first
+    /// point of its key to ask; [`Job::record`] lets go of it.
+    fn input_cell(&self, index: usize) -> InputCell {
+        let mut p = self.progress.lock().unwrap();
+        let slot = &mut p.inputs[self.slot_of[index]];
+        Arc::clone(slot.cell.get_or_insert_with(Arc::default))
     }
 
     /// Whether this job runs at fast (predictor) fidelity.
@@ -278,12 +333,20 @@ impl Job {
         self.record(index, Ok((result, stonne::core::SimStats::default())));
     }
 
-    /// Records one finished point, emits its event, and — on the last
-    /// point — re-scores the Pareto frontier (fast jobs), marks the job
-    /// done and emits the `done` event carrying the final status.
+    /// Records one finished point, emits its event, drops the point's
+    /// input set if it was the last to need it, and — on the last point —
+    /// re-scores the Pareto frontier (fast jobs), marks the job done and
+    /// emits the `done` event carrying the final status.
     fn record(&self, index: usize, outcome: Result<(PointResult, stonne::core::SimStats), String>) {
+        // Taken out under the lock, freed after it.
+        let mut released = None;
         let finished = {
             let mut p = self.progress.lock().unwrap();
+            let slot = &mut p.inputs[self.slot_of[index]];
+            slot.pending -= 1;
+            if slot.pending == 0 {
+                released = slot.cell.take();
+            }
             match outcome {
                 Ok((result, stats)) => {
                     p.counters.engine_invocations += stats.engine_invocations;
@@ -309,6 +372,7 @@ impl Job {
             }
             p.completed + p.failed == self.points.len() && !p.done
         };
+        drop(released);
         if finished {
             // The grid is fully accounted for, so no other worker will
             // touch this job: the re-score runs outside the lock while
@@ -442,16 +506,24 @@ impl JobManager {
     /// Returns the grid-validation message for malformed requests;
     /// nothing is enqueued in that case.
     pub fn submit(&self, request: &SweepRequest) -> Result<Arc<Job>, String> {
-        let expansion = expand(request)?;
+        Ok(self.enqueue(request, expand(request)?))
+    }
+
+    /// Registers `expansion` as a job and queues its points key-major:
+    /// all points of one input set before any of the next (sets in order
+    /// of first occurrence, points of a set in `index` order).
+    fn enqueue(&self, request: &SweepRequest, expansion: Expansion) -> Arc<Job> {
         let id = format!(
             "job-{:04}",
             self.inner.next_id.fetch_add(1, Ordering::Relaxed)
         );
         let job = Arc::new(Job::new(id, request, expansion, self.inner.store.as_ref()));
         self.inner.jobs.lock().unwrap().push(Arc::clone(&job));
+        let mut order: Vec<usize> = (0..job.points.len()).collect();
+        order.sort_by_key(|&index| job.slot_of[index]);
         {
             let mut queue = self.inner.queue.lock().unwrap();
-            for index in 0..job.points.len() {
+            for index in order {
                 queue.push_back(Task {
                     job: Arc::clone(&job),
                     index,
@@ -459,7 +531,7 @@ impl JobManager {
             }
         }
         self.inner.available.notify_all();
-        Ok(job)
+        job
     }
 
     /// Looks up a job by id.
@@ -504,44 +576,52 @@ fn worker_loop(inner: &ManagerInner) {
                 queue = inner.available.wait(queue).unwrap();
             }
         };
-        let point = task.job.points[task.index].clone();
-        let fast = task.job.fast;
+        let job = &task.job;
+        let point = &job.points[task.index];
         // Resume first: a previous process may have persisted this exact
         // point already. Fast jobs skip the store both ways — a
         // predicted result must never masquerade as a persisted exact
         // one, and restoring exact blobs into a fast grid would make the
         // frontier deltas meaningless.
-        if !fast {
-            if let Some(result) = task.job.load_point(&point) {
-                task.job.record_resumed(task.index, result);
+        if !job.fast {
+            if let Some(result) = job.load_point(point) {
+                job.record_resumed(task.index, result);
                 continue;
             }
         }
-        let cache = task.job.cache.clone();
-        let context = task.job.context.clone();
-        // A panicking engine must fail the point, not kill the worker.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if fast {
-                run_point_fast(&point)
-            } else {
-                run_point_ctx(&point, &cache, &context)
-            }
-        }))
-        .unwrap_or_else(|panic| {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "engine panicked".to_owned());
-            Err(format!("panic: {msg}"))
+        let cell = job.input_cell(task.index);
+        let inputs = cell.get_or_init(|| {
+            job.inputs_built.fetch_add(1, Ordering::Relaxed);
+            catching(|| build_inputs(point))
         });
+        let outcome = match inputs {
+            Ok(inputs) => {
+                let exact = (!job.fast).then_some((&job.cache, &job.context));
+                catching(|| run_point_on(point, inputs, exact))
+            }
+            Err(message) => Err(format!("inputs: {message}")),
+        };
+        drop(cell);
         if let Ok((result, _)) = &outcome {
-            if !fast {
-                task.job.persist_point(result);
+            if !job.fast {
+                job.persist_point(result);
             }
         }
-        task.job.record(task.index, outcome);
+        job.record(task.index, outcome);
     }
+}
+
+/// Runs `f`, turning a panic into an `Err`: a panicking generator or
+/// engine must fail the point, not kill the worker.
+fn catching<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "engine panicked".to_owned());
+        Err(format!("panic: {msg}"))
+    })
 }
 
 /// Signed `(predicted - exact) / exact` in centi-percent, saturating at
@@ -695,6 +775,125 @@ mod tests {
         }
         second.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// 1 model x 3 archs x 2 sparsities: six points, two input sets.
+    fn shared_request() -> SweepRequest {
+        let mut r = small_request();
+        r.archs.push(ArchSpec {
+            arch: "sigma".into(),
+            ms: 32,
+            bw: 16,
+        });
+        r.sparsities = vec![0.0, 0.6];
+        r
+    }
+
+    /// Input sets a job currently holds.
+    fn inputs_alive(job: &Job) -> usize {
+        let p = job.progress.lock().unwrap();
+        p.inputs.iter().filter(|slot| slot.cell.is_some()).count()
+    }
+
+    fn result_lines(job: &Job) -> Vec<String> {
+        job.wait_done();
+        (0..job.points.len())
+            .map(|i| serde_json::to_string(&job.result_at(i).unwrap()).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn points_share_one_input_set_per_key_whatever_the_worker_count() {
+        let fresh: Vec<String> = expand(&shared_request())
+            .unwrap()
+            .points
+            .iter()
+            .map(|p| {
+                let (result, _) = crate::api::run_point(p, &SimCache::new()).unwrap();
+                serde_json::to_string(&result).unwrap()
+            })
+            .collect();
+        for workers in [1, 4] {
+            let manager = JobManager::new(workers, None);
+            let job = manager.submit(&shared_request()).unwrap();
+            assert_eq!(job.slot_of, [0, 1, 0, 1, 0, 1]);
+            assert_eq!(result_lines(&job), fresh, "{workers} workers");
+            assert_eq!(job.inputs_built.load(Ordering::Relaxed), 2);
+            assert_eq!(inputs_alive(&job), 0, "released with the last point");
+            assert_eq!(job.status().failed, 0);
+            manager.shutdown();
+        }
+    }
+
+    #[test]
+    fn tasks_are_queued_key_major() {
+        // No workers drain the queue before it is inspected.
+        let manager = JobManager::new(1, None);
+        manager.shutdown();
+        manager.submit(&shared_request()).unwrap();
+        let queue = manager.inner.queue.lock().unwrap();
+        let order: Vec<usize> = queue.iter().map(|t| t.index).collect();
+        assert_eq!(order, [0, 2, 4, 1, 3, 5]);
+    }
+
+    #[test]
+    fn fully_resumed_job_builds_no_inputs() {
+        let dir =
+            std::env::temp_dir().join(format!("stonne-serve-noinputs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let manager = JobManager::new(2, Some(DiskStore::open(&dir).unwrap()));
+        let cold = manager.submit(&shared_request()).unwrap();
+        let cold_lines = result_lines(&cold);
+        assert_eq!(cold.inputs_built.load(Ordering::Relaxed), 2);
+
+        let warm = manager.submit(&shared_request()).unwrap();
+        assert_eq!(result_lines(&warm), cold_lines);
+        assert_eq!(warm.status().counters.resumed, 6);
+        assert_eq!(warm.inputs_built.load(Ordering::Relaxed), 0);
+        assert_eq!(inputs_alive(&warm), 0);
+        manager.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A set that cannot be built fails exactly the points that needed
+    /// it, with a message; its neighbours and later jobs are unaffected
+    /// and nothing hangs.
+    #[test]
+    fn unbuildable_inputs_fail_only_their_own_points() {
+        let request = shared_request();
+        let mut expansion = expand(&request).unwrap();
+        // Invalid only after `expand`: one Err key, one panicking key
+        // (sparsity outside [0, 1] trips the pruning assert), one valid.
+        for p in &mut expansion.points {
+            if p.sparsity == 0.0 {
+                p.model = "no-such-model".into();
+            } else if p.arch == "tpu" {
+                p.sparsity = 1.5;
+            }
+        }
+        let manager = JobManager::new(4, None);
+        let job = manager.enqueue(&request, expansion);
+        job.wait_done();
+        let status = job.status();
+        assert_eq!((status.completed, status.failed), (2, 4));
+        let errors = job.errors();
+        assert_eq!(errors.len(), 4);
+        for index in [0, 2, 4] {
+            assert!(job.result_at(index).is_none());
+            let prefix = format!("point {index}: inputs: unknown model");
+            assert!(errors.iter().any(|e| e.starts_with(&prefix)), "{errors:?}");
+        }
+        let prefix = "point 3: inputs: panic: target sparsity";
+        assert!(errors.iter().any(|e| e.starts_with(prefix)), "{errors:?}");
+        assert!(job.result_at(1).unwrap().cycles > 0);
+        assert!(job.result_at(5).unwrap().cycles > 0);
+        assert_eq!(job.inputs_built.load(Ordering::Relaxed), 3);
+        assert_eq!(inputs_alive(&job), 0);
+
+        let later = manager.submit(&small_request()).unwrap();
+        later.wait_done();
+        assert_eq!(later.status().failed, 0);
+        manager.shutdown();
     }
 
     #[test]

@@ -166,6 +166,10 @@ fi
 # crates/bench), writing results/BENCH.json. Extra args pass through:
 #   tools/offline-check.sh perf --quick
 #   tools/offline-check.sh perf --baseline results/BENCH_baseline.json
+# CI's perf job also runs the end-to-end benchmark once,
+#   crates/sysbench/run.sh --runs 1      # writes target/sysbench/results.json
+# Run that directly, not through this wrapper: run.sh patches the stubs
+# in itself when the registry is unreachable.
 if [ "$1" = "perf" ]; then
     shift
     cargo --offline run --release -p stonne-bench --bin perf -- \
