@@ -91,7 +91,8 @@ pub fn run_one_cached(
         &input,
         fig9_config(),
         policy.schedule(),
-        RunOptions::new().with_cache(cache.clone()),
+        // The figure plots cycles and energy: no activations needed.
+        RunOptions::new().timing_only().with_cache(cache.clone()),
     )
     .expect("valid config");
     Fig9Row {

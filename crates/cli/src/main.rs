@@ -328,9 +328,10 @@ fn cmd_model(args: &Args) -> Result<(), String> {
         cfg.name
     );
     let trace_path = maybe_start_trace(args);
+    // The report is statistics only: no activation is computed.
     let mut options = match &sim_cache {
-        Some(cache) => RunOptions::new().with_cache(cache.clone()),
-        None => RunOptions::new().uncached(),
+        Some(cache) => RunOptions::new().timing_only().with_cache(cache.clone()),
+        None => RunOptions::new().timing_only().uncached(),
     };
     if parse_fidelity_arg(args)? == "fast" {
         options = options.with_predictor(stonne::predict::Model::committed());

@@ -117,7 +117,9 @@ fn profile_one(
     // event loop charges only the additional arbitration wait on top.
     cfg.dram = request.dram.unwrap_or_default().config();
     cfg.model_dram = true;
+    // A profile is per-layer cycles and DRAM traffic: no activations.
     let mut options = RunOptions::new()
+        .timing_only()
         .with_context(context.clone())
         .with_cache(cache.clone());
     if parallel {

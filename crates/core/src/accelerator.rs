@@ -4,15 +4,17 @@
 use crate::cache::{CacheEntry, CacheKey, SimCache};
 use crate::config::{AcceleratorConfig, ConfigError, ControllerKind, DnKind};
 use crate::context::SimContext;
-use crate::engine::flexible::{self, DenseOperand};
+use crate::engine::flexible::{self, AddrMap};
 use crate::engine::sparse::{self, IterationInfo, NaturalOrder, RowSchedule, SparseRun};
-use crate::engine::{conv_operand, pool, systolic};
+use crate::engine::{pool, systolic};
 use crate::mapping::{LayerDims, Tile};
 use crate::predict::{predicted_stats, CyclePredictor, LayerFeatures};
 use crate::stats::SimStats;
 use crate::trace::{Component, Probe};
 use std::sync::Arc;
-use stonne_tensor::{col2im_output, Conv2dGeom, CsrMatrix, Matrix, Tensor4};
+use stonne_tensor::{
+    col2im_output, im2col_matrix, weights_matrix, Conv2dGeom, CsrMatrix, Matrix, Tensor4,
+};
 
 /// A layer's accounting record — everything an engine invocation yields
 /// besides the output, and what a cache entry memoizes: the statistics
@@ -56,6 +58,9 @@ fn with_macs(features: LayerFeatures) -> (LayerFeatures, u64) {
 #[derive(Debug, Clone)]
 pub struct Stonne {
     config: AcceleratorConfig,
+    /// `config.to_cfg_string()`, formatted once and shared into every
+    /// cache key this instance builds.
+    cfg: Arc<str>,
     history: Vec<SimStats>,
     cache: Option<SimCache>,
     predictor: Option<Arc<dyn CyclePredictor>>,
@@ -72,6 +77,7 @@ impl Stonne {
     pub fn new(config: AcceleratorConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         Ok(Self {
+            cfg: config.to_cfg_string().into(),
             config,
             history: Vec::new(),
             cache: None,
@@ -255,67 +261,141 @@ impl Stonne {
         (stats, iterations)
     }
 
-    /// One systolic-engine layer (pre-DRAM stats).
-    fn systolic_layer(&self, name: &str, a: &Matrix, b: &Matrix) -> (Matrix, SimStats) {
-        let out = systolic::functional(&self.config, a, b);
-        let (m, n, k) = (a.rows(), b.cols(), a.cols());
-        let (stats, _) = self.accounting(
+    /// One systolic-engine layer's record (pre-DRAM stats).
+    fn systolic_layer(&self, name: &str, m: usize, n: usize, k: usize) -> SimStats {
+        let record = self.accounting(
             name,
             false,
             || with_macs(LayerFeatures::systolic(&self.config, m, n, k)),
-            || CacheKey::systolic(&self.config, m, n, k),
+            || CacheKey::systolic(&self.cfg, m, n, k),
             || plain(systolic::accounting(&self.config, name, m, n, k)),
         );
-        (out, stats)
+        record.0
     }
 
-    /// One flexible-dense-engine layer (pre-DRAM stats).
-    fn dense_layer(
-        &self,
-        name: &str,
-        layer: &LayerDims,
-        tile: &Tile,
-        operand: &DenseOperand,
-    ) -> (Matrix, SimStats) {
+    /// One flexible-dense-engine layer's record (pre-DRAM stats).
+    fn dense_layer(&self, name: &str, layer: &LayerDims, tile: &Tile, addrs: &AddrMap) -> SimStats {
         let (config, sim) = (&self.config, &self.context);
-        let out = flexible::functional(config, tile, operand, self.intra_workers, sim);
-        let (stats, _) = self.accounting(
+        let record = self.accounting(
             name,
             false,
-            || with_macs(LayerFeatures::dense(config, layer, tile, operand)),
-            || CacheKey::dense(config, layer, tile, operand),
-            || {
-                plain(flexible::accounting(
-                    config, name, layer, tile, operand, sim,
-                ))
-            },
+            || with_macs(LayerFeatures::dense(config, layer, tile, addrs)),
+            || CacheKey::dense(&self.cfg, layer, tile, addrs),
+            || plain(flexible::accounting(config, name, layer, tile, addrs, sim)),
         );
-        (out, stats)
+        record.0
     }
 
-    /// One sparse-engine layer (pre-DRAM stats).
+    /// One sparse-engine layer over `n` streaming columns: its record
+    /// (pre-DRAM stats), the mapper's dataflow choice and — when the
+    /// streaming operand `b` is given — the output.
     fn spmm_layer(
         &self,
         name: &str,
         a: &CsrMatrix,
-        b: &Matrix,
+        n: usize,
+        b: Option<&Matrix>,
         schedule: &dyn RowSchedule,
-    ) -> SparseRun {
-        let plan = sparse::Plan::new(&self.config, a, b.cols(), schedule);
-        let output = sparse::functional(&plan, b);
-        let (stats, iterations) = self.accounting(
+    ) -> (Accounting, bool, Option<Matrix>) {
+        let config = &self.config;
+        let plan = sparse::Plan::new(config, a, n, schedule);
+        let record = self.accounting(
             name,
             plan.input_stationary(),
-            || with_macs(LayerFeatures::spmm(&self.config, a, b, schedule)),
-            || CacheKey::spmm(&self.config, a, b, schedule),
-            || sparse::accounting(&self.config, name, &plan, b),
+            || with_macs(LayerFeatures::spmm(config, a, n, b, schedule)),
+            || CacheKey::spmm(config, &self.cfg, a, n, b, schedule),
+            || sparse::accounting(config, name, &plan, n, b),
         );
-        SparseRun {
-            output,
-            stats,
-            iterations,
-            input_stationary: plan.input_stationary(),
+        let output = b.map(|b| sparse::functional(&plan, b));
+        (record, plan.input_stationary(), output)
+    }
+
+    /// One GEMM `C = A (M×K) × B (K×N)` — plain, or a convolution group's
+    /// lowering (`layer` and `addrs` say which) — on the engine the
+    /// configuration selects: point-to-point dense runs systolic, tree/Benes
+    /// dense the flexible engine (`tile`, or an auto-derived one), a sparse
+    /// controller compresses `a` on the fly (the one case whose timing reads
+    /// `a`). Accounted and recorded either way (`streamed` = DRAM elements
+    /// fetched for `B`); `C` is computed only when `b` is given.
+    #[allow(clippy::too_many_arguments)]
+    fn lowered_gemm(
+        &mut self,
+        name: &str,
+        layer: &LayerDims,
+        addrs: &AddrMap,
+        tile: Option<Tile>,
+        a: Option<&Matrix>,
+        b: Option<&Matrix>,
+        streamed: usize,
+        schedule: &dyn RowSchedule,
+    ) -> (Option<Matrix>, SimStats) {
+        let (m, k, n) = layer.gemm_extents();
+        if let Some((a, b)) = a.zip(b) {
+            assert_eq!((a.rows(), a.cols()), (m, k), "GEMM operand shape mismatch");
+            assert_eq!(
+                (b.rows(), b.cols()),
+                (k, n),
+                "GEMM inner dimension mismatch"
+            );
         }
+        let (fetched, stats, out) = match (self.config.controller, self.config.dn) {
+            (ControllerKind::Sparse, _) => {
+                let a = a.expect("sparse timing reads the stationary operand's zero pattern");
+                let csr = CsrMatrix::from_dense(a);
+                let ((stats, _), _, out) = self.spmm_layer(name, &csr, n, b, schedule);
+                (csr.storage_elements() + streamed, stats, out)
+            }
+            (ControllerKind::Dense, DnKind::PointToPoint) => {
+                let out = a
+                    .zip(b)
+                    .map(|(a, b)| systolic::functional(&self.config, a, b));
+                (m * k + k * n, self.systolic_layer(name, m, n, k), out)
+            }
+            (ControllerKind::Dense, _) => {
+                let (ms, bw) = (self.config.ms_size, self.config.dn_bandwidth);
+                let tile = tile.unwrap_or_else(|| Tile::auto_bw(layer, ms, bw));
+                let (config, workers, sim) = (&self.config, self.intra_workers, &self.context);
+                let compute = |(a, b)| flexible::functional(config, &tile, a, b, workers, sim);
+                let stats = self.dense_layer(name, layer, &tile, addrs);
+                (m * k + streamed, stats, a.zip(b).map(compute))
+            }
+        };
+        (out, self.record(stats, fetched as u64, (m * n) as u64))
+    }
+
+    /// A plain GEMM from its `(m, k, n)` extents (see [`Stonne::lowered_gemm`]).
+    fn gemm(
+        &mut self,
+        name: &str,
+        (m, k, n): (usize, usize, usize),
+        a: Option<&Matrix>,
+        b: Option<&Matrix>,
+        tile: Option<Tile>,
+        schedule: &dyn RowSchedule,
+    ) -> (Option<Matrix>, SimStats) {
+        let layer = LayerDims::from_gemm(m, n, k);
+        let addrs = AddrMap::Unique { len: k * n };
+        self.lowered_gemm(name, &layer, &addrs, tile, a, b, k * n, schedule)
+    }
+
+    /// Times a GEMM `C = A (M×K) × B (K×N)` from its `(m, k, n)` extents:
+    /// everything [`Stonne::run_gemm_scheduled`] does — engine selection,
+    /// layer cache, predictor, DRAM, history — except computing `C`. A
+    /// sparse controller needs `a` (the stationary weights' zero pattern);
+    /// dense controllers never look at it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a sparse controller without `a`, or one that exploits
+    /// activation sparsity (timing then reads `B`'s values: use `run_*`).
+    pub fn time_gemm(
+        &mut self,
+        name: &str,
+        extents: (usize, usize, usize),
+        a: Option<&Matrix>,
+        schedule: &dyn RowSchedule,
+    ) -> SimStats {
+        self.gemm(name, extents, a, None, None, schedule).1
     }
 
     /// Runs a dense GEMM `C = A (M×K) × B (K×N)`.
@@ -338,17 +418,9 @@ impl Stonne {
         b: &Matrix,
         schedule: &dyn RowSchedule,
     ) -> (Matrix, SimStats) {
-        if self.config.controller == ControllerKind::Sparse {
-            let csr = CsrMatrix::from_dense(a);
-            let run = self.spmm_layer(name, &csr, b, schedule);
-            let operand_elems = (csr.storage_elements() + b.len()) as u64;
-            let out_elems = (a.rows() * b.cols()) as u64;
-            let stats = self.record(run.stats, operand_elems, out_elems);
-            return (run.output, stats);
-        }
-        let layer = LayerDims::from_gemm(a.rows(), b.cols(), a.cols());
-        let tile = Tile::auto_bw(&layer, self.config.ms_size, self.config.dn_bandwidth);
-        self.run_gemm_tiled(name, a, b, &tile)
+        let extents = (a.rows(), a.cols(), b.cols());
+        let (out, stats) = self.gemm(name, extents, Some(a), Some(b), None, schedule);
+        (out.expect("operands given"), stats)
     }
 
     /// Explores the tile mapping space for a GEMM by *simulating* every
@@ -358,14 +430,18 @@ impl Stonne {
     /// (analytical models mis-rank mappings whose delivery conflicts they
     /// cannot see).
     ///
-    /// Exploration runs do not enter the instance history.
+    /// Exploration runs do not enter the instance history and compute no
+    /// output.
     ///
     /// # Panics
     ///
     /// Panics if the operands' inner dimensions disagree.
     pub fn search_best_tile(&self, a: &Matrix, b: &Matrix) -> (Tile, u64) {
         assert_eq!(a.cols(), b.rows(), "GEMM inner dimension mismatch");
+        let mkn = (a.rows(), a.cols(), b.cols());
         let layer = LayerDims::from_gemm(a.rows(), b.cols(), a.cols());
+        // Only activation-sparsity timing reads the streaming operand.
+        let b = self.config.exploit_activation_sparsity.then_some(b);
         let mut best: Option<(Tile, u64)> = None;
         // Exploration runs are suspended from the trace timeline: only the
         // mapping the caller ultimately commits to should appear in it.
@@ -373,6 +449,7 @@ impl Stonne {
             for tile in crate::mapping::candidate_tiles(&layer, self.config.ms_size) {
                 let mut probe = Stonne {
                     config: self.config.clone(),
+                    cfg: Arc::clone(&self.cfg),
                     history: Vec::new(),
                     // Exploration probes bypass the cache: candidate tiles
                     // are evaluated once and must not pollute the store.
@@ -384,7 +461,8 @@ impl Stonne {
                     // Candidates reuse this instance's scratch buffers.
                     context: self.context.clone(),
                 };
-                let (_, stats) = probe.run_gemm_tiled("tile-search", a, b, &tile);
+                let order = &NaturalOrder;
+                let (_, stats) = probe.gemm("tile-search", mkn, Some(a), b, Some(tile), order);
                 if best.as_ref().is_none_or(|(_, c)| stats.cycles < *c) {
                     best = Some((tile, stats.cycles));
                 }
@@ -405,29 +483,9 @@ impl Stonne {
         b: &Matrix,
         tile: &Tile,
     ) -> (Matrix, SimStats) {
-        let operand_elems = (a.len() + b.len()) as u64;
-        let out_elems = (a.rows() * b.cols()) as u64;
-        match (self.config.controller, self.config.dn) {
-            (ControllerKind::Dense, DnKind::PointToPoint) => {
-                let (out, stats) = self.systolic_layer(name, a, b);
-                let stats = self.record(stats, operand_elems, out_elems);
-                (out, stats)
-            }
-            (ControllerKind::Dense, _) => {
-                let layer = LayerDims::from_gemm(a.rows(), b.cols(), a.cols());
-                let operand = DenseOperand::from_gemm(a.clone(), b.clone());
-                let (out, stats) = self.dense_layer(name, &layer, tile, &operand);
-                let stats = self.record(stats, operand_elems, out_elems);
-                (out, stats)
-            }
-            (ControllerKind::Sparse, _) => {
-                let csr = CsrMatrix::from_dense(a);
-                let run = self.spmm_layer(name, &csr, b, &NaturalOrder);
-                let operand_elems = (csr.storage_elements() + b.len()) as u64;
-                let stats = self.record(run.stats, operand_elems, out_elems);
-                (run.output, stats)
-            }
-        }
+        let extents = (a.rows(), a.cols(), b.cols());
+        let (out, stats) = self.gemm(name, extents, Some(a), Some(b), Some(*tile), &NaturalOrder);
+        (out.expect("operands given"), stats)
     }
 
     /// Runs a sparse matrix multiplication `C = A_csr × B` with the
@@ -451,11 +509,16 @@ impl Stonne {
     ) -> SparseRun {
         match self.config.controller {
             ControllerKind::Sparse => {
-                let run = self.spmm_layer(name, a, b, schedule);
+                let ((stats, iterations), input_stationary, output) =
+                    self.spmm_layer(name, a, b.cols(), Some(b), schedule);
                 let operand_elems = (a.storage_elements() + b.len()) as u64;
                 let out_elems = (a.rows() * b.cols()) as u64;
-                let stats = self.record(run.stats.clone(), operand_elems, out_elems);
-                SparseRun { stats, ..run }
+                SparseRun {
+                    output: output.expect("operand given"),
+                    stats: self.record(stats, operand_elems, out_elems),
+                    iterations,
+                    input_stationary,
+                }
             }
             ControllerKind::Dense => {
                 let dense = a.to_dense();
@@ -468,6 +531,28 @@ impl Stonne {
                 }
             }
         }
+    }
+
+    /// Times a (possibly grouped) convolution over an `(n, c, h, w)` input:
+    /// everything [`Stonne::run_conv_scheduled`] does except computing the
+    /// output — no im2col, no activation buffer. Only a sparse controller
+    /// reads the weights (their zero pattern drives the mapping).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shape` disagrees with `geom`, or on a sparse controller
+    /// that exploits activation sparsity (use `run_*`).
+    pub fn time_conv(
+        &mut self,
+        name: &str,
+        shape: (usize, usize, usize, usize),
+        weights: &Tensor4,
+        geom: &Conv2dGeom,
+        tile: Option<Tile>,
+        schedule: &dyn RowSchedule,
+    ) -> SimStats {
+        self.conv(name, shape, None, weights, geom, tile, schedule)
+            .1
     }
 
     /// Runs a (possibly grouped) convolution.
@@ -506,15 +591,46 @@ impl Stonne {
         tile: Option<Tile>,
         schedule: &dyn RowSchedule,
     ) -> (Tensor4, SimStats) {
+        let shape = input.shape();
+        let (out, stats) = self.conv(name, shape, Some(input), weights, geom, tile, schedule);
+        (out.expect("operands given"), stats)
+    }
+
+    /// A convolution lowered group by group from the input's shape and the
+    /// weights; the output is computed only when `input` is given.
+    #[allow(clippy::too_many_arguments)]
+    fn conv(
+        &mut self,
+        name: &str,
+        shape: (usize, usize, usize, usize),
+        input: Option<&Tensor4>,
+        weights: &Tensor4,
+        geom: &Conv2dGeom,
+        tile: Option<Tile>,
+        schedule: &dyn RowSchedule,
+    ) -> (Option<Tensor4>, SimStats) {
+        let (n, c, h, w) = shape;
+        assert_eq!(c, geom.in_c, "input channel mismatch");
         // Grouped convolutions on a sparse controller lower to one
         // block-diagonal SpMM: every filter's non-zeros live only on its
         // group's im2col rows, so the variable-cluster machinery maps all
         // groups simultaneously — how SIGMA natively absorbs factorized
         // convolutions.
         if geom.groups > 1 && self.config.controller == ControllerKind::Sparse {
-            return self.run_grouped_conv_block_diagonal(name, input, weights, geom, schedule);
+            return self.grouped_conv_block_diagonal(name, shape, input, weights, geom, schedule);
         }
-        let (oh, ow) = geom.out_hw(input.h(), input.w());
+        // Every group is the same GEMM (one group mapped at a time) over
+        // its slice of the input, which DRAM delivers once.
+        let layer = LayerDims::from_conv(geom, h, w, n);
+        let group_layer = LayerDims {
+            c: layer.c / layer.g,
+            k: layer.k / layer.g,
+            g: 1,
+            ..layer
+        };
+        let addrs = AddrMap::conv(geom, n, h, w);
+        let streamed = n * c * h * w / geom.groups;
+        let sparse = self.config.controller == ControllerKind::Sparse;
         let mut group_outputs = Vec::with_capacity(geom.groups);
         let mut total: Option<SimStats> = None;
         for g in 0..geom.groups {
@@ -523,8 +639,22 @@ impl Stonne {
             } else {
                 format!("{name}.g{g}")
             };
-            let (out, stats) = self.run_conv_group(&gname, input, weights, geom, g, tile, schedule);
-            group_outputs.push(out);
+            // The patches (and, off the sparse controller, the filter
+            // matrix) are built only when the output is wanted.
+            let wm = (sparse || input.is_some()).then(|| weights_matrix(weights, geom, g));
+            let im = input.map(|input| im2col_matrix(input, geom, g));
+            let (wm, im) = (wm.as_ref(), im.as_ref());
+            let (out, stats) = self.lowered_gemm(
+                &gname,
+                &group_layer,
+                &addrs,
+                tile,
+                wm,
+                im,
+                streamed,
+                schedule,
+            );
+            group_outputs.extend(out);
             match &mut total {
                 None => total = Some(stats),
                 Some(t) => t.merge(&stats),
@@ -540,17 +670,8 @@ impl Stonne {
             && self.config.controller == ControllerKind::Dense
             && self.config.dn != DnKind::PointToPoint
         {
-            let group_layer = LayerDims::from_conv(geom, input.h(), input.w(), input.n());
-            let per_group = Tile::auto_bw(
-                &LayerDims {
-                    c: group_layer.c / group_layer.g,
-                    k: group_layer.k / group_layer.g,
-                    g: 1,
-                    ..group_layer
-                },
-                self.config.ms_size,
-                self.config.dn_bandwidth,
-            );
+            let (ms, bw) = (self.config.ms_size, self.config.dn_bandwidth);
+            let per_group = Tile::auto_bw(&group_layer, ms, bw);
             let concurrent =
                 (self.config.ms_size / per_group.ms_used().max(1)).clamp(1, geom.groups) as u64;
             stats.cycles = stats.cycles.div_ceil(concurrent);
@@ -572,114 +693,76 @@ impl Stonne {
                 + b.reduction_stall_cycles;
             b.steady_cycles = stats.cycles.saturating_sub(others);
         }
-        let out = col2im_output(&group_outputs, geom, input.n(), oh, ow);
+        let out = input.map(|_| col2im_output(&group_outputs, geom, n, layer.xp, layer.yp));
         (out, stats)
     }
 
     /// Lowers a grouped convolution to a single block-diagonal sparse
     /// GEMM and runs it on the sparse engine (all groups mapped at once).
-    fn run_grouped_conv_block_diagonal(
+    fn grouped_conv_block_diagonal(
         &mut self,
         name: &str,
-        input: &Tensor4,
+        (n, c, h, w): (usize, usize, usize, usize),
+        input: Option<&Tensor4>,
         weights: &Tensor4,
         geom: &Conv2dGeom,
         schedule: &dyn RowSchedule,
-    ) -> (Tensor4, SimStats) {
-        let (oh, ow) = geom.out_hw(input.h(), input.w());
+    ) -> (Option<Tensor4>, SimStats) {
+        let (oh, ow) = geom.out_hw(h, w);
         let dot = geom.dot_product_len();
         let kpg = geom.out_c_per_group();
-        let n_cols = input.n() * oh * ow;
+        let n_cols = n * oh * ow;
 
         // Stationary operand: out_c rows over groups·dot columns, each
         // filter's taps in its group's column block.
         let mut bd = Matrix::zeros(geom.out_c, geom.groups * dot);
-        // Streaming operand: the stacked per-group im2col matrices.
-        let mut inputs = Matrix::zeros(geom.groups * dot, n_cols);
         for g in 0..geom.groups {
-            let operand = conv_operand(input, weights, geom, g);
+            let wm = weights_matrix(weights, geom, g);
             for kk in 0..kpg {
-                for c in 0..dot {
-                    bd.set(g * kpg + kk, g * dot + c, operand.weights.get(kk, c));
-                }
-            }
-            for r in 0..dot {
-                for col in 0..n_cols {
-                    inputs.set(g * dot + r, col, operand.inputs.get(r, col));
-                }
+                bd.row_mut(g * kpg + kk)[g * dot..][..dot].copy_from_slice(wm.row(kk));
             }
         }
+        // Streaming operand: the stacked per-group im2col matrices.
+        let inputs = input.map(|input| {
+            let mut inputs = Matrix::zeros(geom.groups * dot, n_cols);
+            for g in 0..geom.groups {
+                let im = im2col_matrix(input, geom, g);
+                for r in 0..dot {
+                    inputs.row_mut(g * dot + r).copy_from_slice(im.row(r));
+                }
+            }
+            inputs
+        });
         let csr = CsrMatrix::from_dense(&bd);
-        let run = self.spmm_layer(name, &csr, &inputs, schedule);
+        let ((stats, _), _, out) = self.spmm_layer(name, &csr, n_cols, inputs.as_ref(), schedule);
         let out_elems = (geom.out_c * n_cols) as u64;
-        let in_elems = (csr.storage_elements() + input.len()) as u64;
-        let stats = self.record(run.stats, in_elems, out_elems);
+        let in_elems = (csr.storage_elements() + n * c * h * w) as u64;
+        let stats = self.record(stats, in_elems, out_elems);
 
         // Rows are group-major (g·kpg + kk); slice them back per group.
-        let group_outputs: Vec<Matrix> = (0..geom.groups)
-            .map(|g| {
-                let mut m = Matrix::zeros(kpg, n_cols);
-                for kk in 0..kpg {
-                    for col in 0..n_cols {
-                        m.set(kk, col, run.output.get(g * kpg + kk, col));
-                    }
-                }
-                m
-            })
-            .collect();
-        let out = col2im_output(&group_outputs, geom, input.n(), oh, ow);
+        let out = out.map(|out| {
+            let group_outputs: Vec<Matrix> = (0..geom.groups)
+                .map(|g| {
+                    let rows = out.as_slice()[g * kpg * n_cols..][..kpg * n_cols].to_vec();
+                    Matrix::from_vec(kpg, n_cols, rows)
+                })
+                .collect();
+            col2im_output(&group_outputs, geom, n, oh, ow)
+        });
         (out, stats)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_conv_group(
+    /// Times a fully-connected layer over `seq` input tokens from the
+    /// weights alone (see [`Stonne::time_gemm`]).
+    pub fn time_linear(
         &mut self,
         name: &str,
-        input: &Tensor4,
-        weights: &Tensor4,
-        geom: &Conv2dGeom,
-        g: usize,
-        tile: Option<Tile>,
+        seq: usize,
+        weights: &Matrix,
         schedule: &dyn RowSchedule,
-    ) -> (Matrix, SimStats) {
-        let layer = LayerDims::from_conv(geom, input.h(), input.w(), input.n());
-        match (self.config.controller, self.config.dn) {
-            (ControllerKind::Dense, DnKind::PointToPoint) => {
-                let operand = conv_operand(input, weights, geom, g);
-                let out_elems = (operand.weights.rows() * operand.inputs.cols()) as u64;
-                let in_elems = (operand.weights.len() + operand.inputs.len()) as u64;
-                let (out, stats) = self.systolic_layer(name, &operand.weights, &operand.inputs);
-                let stats = self.record(stats, in_elems, out_elems);
-                (out, stats)
-            }
-            (ControllerKind::Dense, _) => {
-                let operand = conv_operand(input, weights, geom, g);
-                // Per-group layer view: the tile maps one group at a time.
-                let group_layer = LayerDims {
-                    c: layer.c / layer.g,
-                    k: layer.k / layer.g,
-                    g: 1,
-                    ..layer
-                };
-                let tile = tile.unwrap_or_else(|| {
-                    Tile::auto_bw(&group_layer, self.config.ms_size, self.config.dn_bandwidth)
-                });
-                let out_elems = (operand.weights.rows() * operand.inputs.cols()) as u64;
-                let in_elems = (operand.weights.len() + input.len() / geom.groups) as u64;
-                let (out, stats) = self.dense_layer(name, &group_layer, &tile, &operand);
-                let stats = self.record(stats, in_elems, out_elems);
-                (out, stats)
-            }
-            (ControllerKind::Sparse, _) => {
-                let operand = conv_operand(input, weights, geom, g);
-                let csr = CsrMatrix::from_dense(&operand.weights);
-                let run = self.spmm_layer(name, &csr, &operand.inputs, schedule);
-                let out_elems = (csr.rows() * operand.inputs.cols()) as u64;
-                let in_elems = (csr.storage_elements() + input.len() / geom.groups) as u64;
-                let stats = self.record(run.stats, in_elems, out_elems);
-                (run.output, stats)
-            }
-        }
+    ) -> SimStats {
+        let extents = (weights.rows(), weights.cols(), seq);
+        self.time_gemm(name, extents, Some(weights), schedule)
     }
 
     /// Runs a fully-connected layer: `output (seq×out) = input (seq×in) ×
@@ -721,6 +804,33 @@ impl Stonne {
         (out.transposed(), stats)
     }
 
+    /// Times a max-pool layer over an `(n, c, h, w)` input: everything
+    /// [`Stonne::run_maxpool`] does except pooling.
+    pub fn time_maxpool(
+        &mut self,
+        name: &str,
+        shape: (usize, usize, usize, usize),
+        window: usize,
+        stride: usize,
+    ) -> SimStats {
+        assert!(
+            window > 0 && stride > 0,
+            "window and stride must be positive"
+        );
+        let (n, c, h, w) = shape;
+        let outputs = n * c * ((h - window) / stride + 1) * ((w - window) / stride + 1);
+        let (stats, _) = self.accounting(
+            name,
+            false,
+            // Pool performs comparisons, not MACs: the multiplier counter
+            // stays 0 like the engine's.
+            || (LayerFeatures::pool(&self.config, shape, window, stride), 0),
+            || CacheKey::pool(&self.cfg, shape, window, stride),
+            || plain(pool::accounting(&self.config, name, outputs, window)),
+        );
+        self.record(stats, (n * c * h * w) as u64, outputs as u64)
+    }
+
     /// Runs a max-pool layer (the STONNE API's `ConfigureMaxPool`).
     pub fn run_maxpool(
         &mut self,
@@ -729,26 +839,15 @@ impl Stonne {
         window: usize,
         stride: usize,
     ) -> (Tensor4, SimStats) {
-        let out = pool::functional(input, window, stride);
-        let (stats, _) = self.accounting(
-            name,
-            false,
-            // Pool performs comparisons, not MACs: the multiplier counter
-            // stays 0 like the engine's.
-            || (LayerFeatures::pool(&self.config, input, window, stride), 0),
-            || CacheKey::pool(&self.config, input, window, stride),
-            || plain(pool::accounting(&self.config, name, out.len(), window)),
-        );
-        let in_elems = input.len() as u64;
-        let out_elems = out.len() as u64;
-        let stats = self.record(stats, in_elems, out_elems);
-        (out, stats)
+        let stats = self.time_maxpool(name, input.shape(), window, stride);
+        (pool::functional(input, window, stride), stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SimCache;
     use stonne_tensor::{assert_slices_close, conv2d_reference, gemm_reference, SeededRng};
 
     fn presets() -> Vec<AcceleratorConfig> {
@@ -1035,6 +1134,74 @@ mod tests {
                 assert_eq!(stats, reference, "{label}: {how} stats");
             }
         }
+    }
+
+    #[test]
+    fn time_entry_points_account_exactly_like_their_run_counterparts() {
+        let mut rng = SeededRng::new(31);
+        let a = masked(10, 20, 3, &mut rng);
+        let b = Matrix::random(20, 6, &mut rng);
+        let tokens = Matrix::random(6, 20, &mut rng);
+        let input = Tensor4::random(2, 4, 6, 6, &mut rng);
+        let convs = [
+            (
+                Conv2dGeom::new(4, 6, 3, 3, 2, 1, 1),
+                Tensor4::random(6, 4, 3, 3, &mut rng),
+            ),
+            (
+                Conv2dGeom::new(4, 4, 3, 3, 1, 1, 4),
+                Tensor4::random(4, 1, 3, 3, &mut rng),
+            ),
+            (
+                Conv2dGeom::new(4, 8, 1, 1, 1, 0, 2),
+                Tensor4::random(8, 2, 1, 1, &mut rng),
+            ),
+        ];
+        let sched = &NaturalOrder;
+        for cfg in presets() {
+            let name = cfg.name.clone();
+            let cfg = cfg.with_dram_modeling(true);
+            // One cache per mode: what either writes, the other must hit.
+            let (timed_cache, run_cache) = (SimCache::new(), SimCache::new());
+            let sim =
+                |cache: &SimCache| Stonne::new(cfg.clone()).unwrap().with_cache(cache.clone());
+            let (mut timed, mut run) = (sim(&timed_cache), sim(&run_cache));
+            timed.time_gemm("g", (10, 20, 6), Some(&a), sched);
+            run.run_gemm("g", &a, &b);
+            timed.time_linear("fc", 6, &a, sched);
+            run.run_linear("fc", &tokens, &a);
+            for (geom, weights) in &convs {
+                timed.time_conv("c", input.shape(), weights, geom, None, sched);
+                run.run_conv("c", &input, weights, geom, None);
+            }
+            timed.time_maxpool("p", input.shape(), 2, 2);
+            run.run_maxpool("p", &input, 2, 2);
+            assert_eq!(timed.history(), run.history(), "{name}");
+            assert_eq!(
+                timed_cache.key_signatures(),
+                run_cache.key_signatures(),
+                "{name}"
+            );
+            // Entries are interchangeable: a Full run over the timing-only
+            // run's cache never invokes an engine, and vice versa.
+            let mut warm = sim(&timed_cache);
+            let (_, hit) = warm.run_conv("c", &input, &convs[0].1, &convs[0].0, None);
+            assert_eq!(hit.engine_invocations, 0, "{name}");
+            let hit = sim(&run_cache).time_gemm("g", (10, 20, 6), Some(&a), sched);
+            assert_eq!(hit.engine_invocations, 0, "{name}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exploit_activation_sparsity")]
+    fn timing_that_reads_activations_refuses_shape_level_calls() {
+        let dual = AcceleratorConfig {
+            exploit_activation_sparsity: true,
+            ..AcceleratorConfig::sigma_like(64, 8)
+        };
+        let a = Matrix::random(8, 8, &mut SeededRng::new(1));
+        let mut sim = Stonne::new(dual).unwrap();
+        sim.time_gemm("g", (8, 8, 4), Some(&a), &NaturalOrder);
     }
 
     #[test]

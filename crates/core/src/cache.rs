@@ -22,8 +22,9 @@
 //!
 //! What it includes that is easy to miss:
 //!
-//! * the **Global-Buffer address map** of dense operands (normalized to
-//!   its base address), because convolution window overlap changes
+//! * the **Global-Buffer address map** of dense operands, as its
+//!   base-relative generator ([`AddrMap`]: a handful of integers, never
+//!   the expanded map), because convolution window overlap changes
 //!   multicast delivery cycles;
 //! * the **CSR pattern** (per-row column indices) of sparse stationary
 //!   operands, because packing and delivery depend on it;
@@ -40,7 +41,7 @@
 //! harness is safe (the config string disambiguates architectures).
 
 use crate::config::AcceleratorConfig;
-use crate::engine::flexible::{DenseOperand, PAD_ADDR};
+use crate::engine::flexible::AddrMap;
 use crate::engine::sparse::{IterationInfo, RowSchedule};
 use crate::mapping::{LayerDims, Tile};
 use crate::stats::SimStats;
@@ -50,7 +51,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
-use stonne_tensor::{CsrMatrix, Matrix, Tensor4};
+use stonne_tensor::{CsrMatrix, Matrix};
 
 /// The operation-specific part of a cache key. Serializable so a run
 /// checkpoint can snapshot the whole cache (see [`SimCache::export_json`]).
@@ -77,8 +78,9 @@ pub(crate) enum KeyKind {
         k: usize,
         /// Streaming columns.
         n: usize,
-        /// Hash of the base-normalized GB address map (multicast pattern).
-        addrs_hash: u64,
+        /// Generator of the base-relative GB address map (multicast
+        /// pattern).
+        addrs: AddrMap,
     },
     /// Sparse engine run.
     Spmm {
@@ -110,40 +112,18 @@ pub(crate) enum KeyKind {
 }
 
 /// Canonical cache key: accelerator configuration + operation identity.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
     /// The configuration's `key = value` serialization (covers every
     /// timing-relevant hardware parameter except DRAM, which is re-applied
-    /// outside the cached stats).
-    cfg: String,
+    /// outside the cached stats) — formatted once per [`crate::Stonne`]
+    /// instance and shared into every key it builds.
+    cfg: Arc<str>,
     kind: KeyKind,
 }
 
 fn hasher() -> DefaultHasher {
     DefaultHasher::new()
-}
-
-/// Hashes a dense operand's GB address map, normalized to its smallest
-/// non-pad address so identical access *patterns* at different base
-/// offsets (e.g. the per-group operands of a depthwise convolution) share
-/// an entry. Uniqueness/multicast structure is invariant under the shift.
-fn addrs_hash(addrs: &[u32]) -> u64 {
-    let base = addrs
-        .iter()
-        .copied()
-        .filter(|&a| a != PAD_ADDR)
-        .min()
-        .unwrap_or(0);
-    let mut h = hasher();
-    addrs.len().hash(&mut h);
-    for &a in addrs {
-        if a == PAD_ADDR {
-            PAD_ADDR.hash(&mut h);
-        } else {
-            (a - base).hash(&mut h);
-        }
-    }
-    h.finish()
 }
 
 /// Hashes the structure (not the values) of a CSR operand.
@@ -183,47 +163,68 @@ impl CacheKey {
         format!("{self:?}")
     }
 
-    pub(crate) fn systolic(config: &AcceleratorConfig, m: usize, n: usize, k: usize) -> Self {
-        Self {
-            cfg: config.to_cfg_string(),
-            kind: KeyKind::Systolic { m, n, k },
+    /// 64-bit digest of the key, for
+    /// [`LayerFeatures::key_digest`](crate::predict::LayerFeatures). A
+    /// plain GEMM's address map enters as the SipHash of its expansion —
+    /// how keys rendered it while maps were materialised: the committed
+    /// predictor's train/holdout split (`results/PREDICT_*.json`) is drawn
+    /// on these digests and has to keep reproducing byte for byte.
+    pub(crate) fn digest(&self) -> u64 {
+        let mut text = self.canonical();
+        if let KeyKind::Dense {
+            addrs: addrs @ AddrMap::Unique { len },
+            ..
+        } = &self.kind
+        {
+            let mut h = hasher();
+            len.hash(&mut h);
+            (0..*len as u32).for_each(|a| a.hash(&mut h));
+            let legacy = format!("addrs_hash: {}", h.finish());
+            text = text.replace(&format!("addrs: {addrs:?}"), &legacy);
         }
+        crate::store::digest64(&text)
     }
 
-    pub(crate) fn dense(
-        config: &AcceleratorConfig,
-        layer: &LayerDims,
-        tile: &Tile,
-        operand: &DenseOperand,
-    ) -> Self {
+    pub(crate) fn systolic(cfg: &Arc<str>, m: usize, n: usize, k: usize) -> Self {
+        let cfg = Arc::clone(cfg);
+        let kind = KeyKind::Systolic { m, n, k };
+        Self { cfg, kind }
+    }
+
+    pub(crate) fn dense(cfg: &Arc<str>, layer: &LayerDims, tile: &Tile, addrs: &AddrMap) -> Self {
+        let ((m, k, n), addrs) = (layer.gemm_extents(), *addrs);
         Self {
-            cfg: config.to_cfg_string(),
+            cfg: Arc::clone(cfg),
             kind: KeyKind::Dense {
                 layer: *layer,
                 tile: *tile,
-                m: operand.weights.rows(),
-                k: operand.weights.cols(),
-                n: operand.inputs.cols(),
-                addrs_hash: addrs_hash(&operand.addrs),
+                m,
+                k,
+                n,
+                addrs,
             },
         }
     }
 
+    /// `b` is the streaming operand, read (for its zero mask) only when
+    /// the configuration exploits activation sparsity.
     pub(crate) fn spmm(
         config: &AcceleratorConfig,
+        cfg: &Arc<str>,
         a: &CsrMatrix,
-        b: &Matrix,
+        n: usize,
+        b: Option<&Matrix>,
         schedule: &dyn RowSchedule,
     ) -> Self {
         let b_zero_hash = config
             .exploit_activation_sparsity
-            .then(|| zero_mask_hash(b));
+            .then(|| zero_mask_hash(b.expect(NEEDS_ACTIVATIONS)));
         Self {
-            cfg: config.to_cfg_string(),
+            cfg: Arc::clone(cfg),
             kind: KeyKind::Spmm {
                 m: a.rows(),
                 k: a.cols(),
-                n: b.cols(),
+                n,
                 pattern_hash: csr_pattern_hash(a),
                 b_zero_hash,
                 schedule: schedule.cache_token(),
@@ -233,21 +234,26 @@ impl CacheKey {
     }
 
     pub(crate) fn pool(
-        config: &AcceleratorConfig,
-        input: &Tensor4,
+        cfg: &Arc<str>,
+        shape: (usize, usize, usize, usize),
         window: usize,
         stride: usize,
     ) -> Self {
         Self {
-            cfg: config.to_cfg_string(),
+            cfg: Arc::clone(cfg),
             kind: KeyKind::Pool {
-                shape: input.shape(),
+                shape,
                 window,
                 stride,
             },
         }
     }
 }
+
+/// Panic message of a shape-level (`time_*`) call on a configuration whose
+/// timing reads activation values.
+pub(crate) const NEEDS_ACTIVATIONS: &str =
+    "exploit_activation_sparsity makes timing depend on activation values: use run_*";
 
 /// One memoized engine outcome. Serializable so the disk store
 /// ([`crate::DiskStore`]) can persist entries across processes.
@@ -401,12 +407,20 @@ impl SimCache {
     ///
     /// Never panics in practice (all key/entry fields are serializable).
     pub fn export_json(&self) -> String {
-        let mut entries: Vec<(CacheKey, CacheEntry)> = self
+        // A key travels as its `(cfg, kind)` pair, ordered by canonical text.
+        let mut entries: Vec<_> = self
             .lock()
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| {
+                (
+                    k.canonical(),
+                    (k.cfg.to_string(), k.kind.clone()),
+                    v.clone(),
+                )
+            })
             .collect();
-        entries.sort_by_key(|(k, _)| k.canonical());
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let entries: Vec<_> = entries.into_iter().map(|(_, k, v)| (k, v)).collect();
         serde_json::to_string(&entries).expect("cache entries serialize")
     }
 
@@ -420,12 +434,13 @@ impl SimCache {
     ///
     /// Returns the serde error text when `json` is not a cache snapshot.
     pub fn import_json(&self, json: &str) -> Result<usize, String> {
-        let entries: Vec<(CacheKey, CacheEntry)> =
+        let entries: Vec<((String, KeyKind), CacheEntry)> =
             serde_json::from_str(json).map_err(|e| e.to_string())?;
         let n = entries.len();
         let mut map = self.lock();
-        for (key, entry) in entries {
-            map.insert(key, entry);
+        for ((cfg, kind), entry) in entries {
+            let cfg = cfg.into();
+            map.insert(CacheKey { cfg, kind }, entry);
         }
         Ok(n)
     }

@@ -40,10 +40,120 @@ use crate::mapping::{LayerDims, Tile};
 use crate::networks::{DistributionNetwork, MultiplierNetwork, ReductionNetwork};
 use crate::stats::SimStats;
 use crate::trace::{Component, Probe};
-use stonne_tensor::{Elem, Matrix};
+use serde::{Deserialize, Serialize};
+use stonne_tensor::{Conv2dGeom, Elem, Matrix};
 
 /// Address marker for zero-padding taps (nothing is fetched).
 pub const PAD_ADDR: u32 = u32::MAX;
+
+/// Generator of a dense operand's row-major `K × N` Global-Buffer address
+/// map: what lowering, cache keys and predictor features carry. The map
+/// itself is expanded only inside the engine's `accounting`. Addresses
+/// are relative to the operand's base, so all groups of a convolution
+/// share one generator (multicast structure is shift-invariant).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum AddrMap {
+    /// Every element is a distinct fetch (plain GEMM: no reuse, no padding).
+    Unique {
+        /// Number of elements, `K·N`.
+        len: usize,
+    },
+    /// The im2col windows of one convolution group (`cpg` channels of a
+    /// `batch × in_c × in_h × in_w` input): rows scan `(c, fy, fx)`,
+    /// columns `(n, oy, ox)`; overlapping windows repeat an address and
+    /// padding taps read [`PAD_ADDR`]. `in_c` only separates images: it
+    /// is normalised to `cpg` when `batch == 1`.
+    #[allow(missing_docs)]
+    Window {
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+        cpg: usize,
+        batch: usize,
+        in_c: usize,
+        in_h: usize,
+        in_w: usize,
+    },
+}
+
+impl AddrMap {
+    /// The map of one group of `geom` over `batch` images of `in_h × in_w`.
+    /// A window walk that touches every address once, in order (e.g. 1×1
+    /// stride-1 unpadded), *is* [`AddrMap::Unique`] and is returned as such.
+    pub fn conv(geom: &Conv2dGeom, batch: usize, in_h: usize, in_w: usize) -> Self {
+        let (kh, kw, stride, pad) = (geom.kh, geom.kw, geom.stride, geom.pad);
+        let (oh, ow) = geom.out_hw(in_h, in_w);
+        let (cpg, in_c) = (geom.in_c_per_group(), geom.in_c);
+        // Address and index are both linear in (n, c, fy, fx, oy, ox): they
+        // agree everywhere iff they agree on every coefficient whose
+        // variable has more than one value.
+        let coefficients = [
+            (batch, in_c * in_h * in_w, oh * ow),
+            (cpg, in_h * in_w, kh * kw * batch * oh * ow),
+            (kh, in_w, kw * batch * oh * ow),
+            (kw, 1, batch * oh * ow),
+            (oh, stride * in_w, ow),
+            (ow, stride, 1),
+        ];
+        if pad == 0 && coefficients.iter().all(|&(n, a, i)| n == 1 || a == i) {
+            let len = cpg * kh * kw * batch * oh * ow;
+            return AddrMap::Unique { len };
+        }
+        let in_c = if batch == 1 { cpg } else { in_c };
+        AddrMap::Window {
+            kh,
+            kw,
+            stride,
+            pad,
+            cpg,
+            batch,
+            in_c,
+            in_h,
+            in_w,
+        }
+    }
+
+    /// Materialises the map.
+    pub fn expand(&self) -> Vec<u32> {
+        let (kh, kw, stride, pad, cpg, batch, in_c, in_h, in_w) = match *self {
+            AddrMap::Unique { len } => return (0..len as u32).collect(),
+            AddrMap::Window {
+                kh,
+                kw,
+                stride,
+                pad,
+                cpg,
+                batch,
+                in_c,
+                in_h,
+                in_w,
+            } => (kh, kw, stride, pad, cpg, batch, in_c, in_h, in_w),
+        };
+        let oh = (in_h + 2 * pad - kh) / stride + 1;
+        let ow = (in_w + 2 * pad - kw) / stride + 1;
+        let ncols = batch * oh * ow;
+        let mut addrs = vec![PAD_ADDR; cpg * kh * kw * ncols];
+        for (row, cells) in addrs.chunks_mut(ncols.max(1)).enumerate() {
+            let (c, fy, fx) = (row / (kh * kw), row / kw % kh, row % kw);
+            for (line, cols) in cells.chunks_mut(ow).enumerate() {
+                // Out-of-range taps wrap to huge values: one compare each.
+                let (n, iy) = (line / oh, (line % oh * stride + fy).wrapping_sub(pad));
+                if iy >= in_h {
+                    continue;
+                }
+                let base = ((n * in_c + c) * in_h + iy) * in_w;
+                for (ox, slot) in cols.iter_mut().enumerate() {
+                    let ix = (ox * stride + fx).wrapping_sub(pad);
+                    if ix < in_w {
+                        *slot = (base + ix) as u32;
+                    }
+                }
+            }
+        }
+        addrs
+    }
+}
 
 /// One group's GEMM-lowered dense operand with Global-Buffer addresses.
 #[derive(Debug, Clone)]
@@ -52,16 +162,15 @@ pub struct DenseOperand {
     pub weights: Matrix,
     /// Streaming inputs, `K × N` (dot length × output positions).
     pub inputs: Matrix,
-    /// GB address of every `inputs` entry (row-major `K × N`);
-    /// [`PAD_ADDR`] marks padding zeros that are never fetched.
-    pub addrs: Vec<u32>,
+    /// Generator of the GB address of every `inputs` entry.
+    pub addrs: AddrMap,
 }
 
 impl DenseOperand {
     /// Builds a plain-GEMM operand where every input element has a unique
     /// address (no convolution reuse).
     pub fn from_gemm(weights: Matrix, inputs: Matrix) -> Self {
-        let addrs = (0..inputs.len() as u32).collect();
+        let addrs = AddrMap::Unique { len: inputs.len() };
         Self {
             weights,
             inputs,
@@ -110,8 +219,9 @@ pub fn run_dense_with(
     // the two halves so the grown buffers serve every layer of a run.
     // Accounting first: it validates the tile.
     let sim = SimContext::new();
-    let stats = accounting(config, operation, layer, tile, operand, &sim);
-    let out = functional(config, tile, operand, workers, &sim);
+    let stats = accounting(config, operation, layer, tile, &operand.addrs, &sim);
+    let (weights, inputs) = (&operand.weights, &operand.inputs);
+    let out = functional(config, tile, weights, inputs, workers, &sim);
     (out, stats)
 }
 
@@ -148,18 +258,19 @@ fn transposed_problem(
 pub(crate) fn functional(
     config: &AcceleratorConfig,
     tile: &Tile,
-    operand: &DenseOperand,
+    weights: &Matrix,
+    inputs: &Matrix,
     workers: usize,
     sim: &SimContext,
 ) -> Matrix {
-    let (m, k_len) = (operand.weights.rows(), operand.weights.cols());
-    assert_eq!(operand.inputs.rows(), k_len, "operand inner dims disagree");
+    let (m, k_len) = (weights.rows(), weights.cols());
+    assert_eq!(inputs.rows(), k_len, "operand inner dims disagree");
     if config.dataflow == Dataflow::InputStationary {
-        let (_, t_tile) = transposed_problem(config, m, k_len, operand.inputs.cols());
-        let (weights, inputs) = (operand.inputs.transposed(), operand.weights.transposed());
+        let (_, t_tile) = transposed_problem(config, m, k_len, inputs.cols());
+        let (weights, inputs) = (inputs.transposed(), weights.transposed());
         return chunked_output(&weights, &inputs, &t_tile, workers, sim).transposed();
     }
-    chunked_output(&operand.weights, &operand.inputs, tile, workers, sim)
+    chunked_output(weights, inputs, tile, workers, sim)
 }
 
 /// `weights × inputs` by [`compute_chunk_output`]: the whole operand as
@@ -235,18 +346,17 @@ fn compute_chunk_output(
 /// window: `unique` distinct fetches meet the DN bandwidth; `non_pad`
 /// taps are the multiplications every filter of the chunk performs.
 ///
-/// `addrs` is the operand's row-major `K × n` address map; `trivial`
-/// short-circuits the sort for operands whose address map is the identity
-/// (plain GEMM: every element distinct, no padding).
+/// `addrs` is the operand's row-major `K × n` address map; an empty one
+/// stands for [`AddrMap::Unique`] (every element distinct, no padding)
+/// and short-circuits the sort.
 fn unique_inputs(
     addrs: &[u32],
     n: usize,
     rows: std::ops::Range<usize>,
     cols: std::ops::Range<usize>,
-    trivial: bool,
     scratch: &mut Vec<u32>,
 ) -> (usize, usize) {
-    if trivial {
+    if addrs.is_empty() {
         let area = rows.len() * cols.len();
         return (area, area);
     }
@@ -259,14 +369,6 @@ fn unique_inputs(
     scratch.sort_unstable();
     scratch.dedup();
     (scratch.len(), non_pad)
-}
-
-/// Whether the address map is the identity permutation (the
-/// [`DenseOperand::from_gemm`] layout; also what an absent map stands
-/// for): every input element is a unique non-pad fetch, so window
-/// uniqueness needs no sorting.
-pub(crate) fn has_trivial_addrs(addrs: &[u32]) -> bool {
-    addrs.iter().enumerate().all(|(i, &a)| a == i as u32)
 }
 
 /// Splits the `n` output positions into delivery chunks of at most
@@ -314,7 +416,6 @@ struct WsCtx<'a> {
     pos_chunks: &'a [(usize, usize)],
     chunks_per_block: usize,
     spill: bool,
-    trivial_addrs: bool,
 }
 
 /// Simulates the timing/activity of one stationary filter chunk
@@ -370,7 +471,6 @@ fn ws_chunk_accounting(
                     ctx.n,
                     row_lo..row_hi,
                     pos..pos_hi,
-                    ctx.trivial_addrs,
                     &mut scratch.addrs,
                 );
                 let mut needed = uniq;
@@ -434,9 +534,10 @@ fn ws_chunk_accounting(
 }
 
 /// The accounting half: cycles, counters and breakdown of the run, from
-/// the operand's extents and address map alone — operand values are never
-/// read and no output is written. IS walks the transposed problem
-/// weight-stationary (see [`transposed_problem`]).
+/// the operand's extents and address map alone — no operand value exists
+/// here and no output is written. This is the one place the address map
+/// is materialised. IS walks the transposed problem weight-stationary
+/// (see [`transposed_problem`]).
 ///
 /// # Panics
 ///
@@ -447,25 +548,31 @@ pub(crate) fn accounting(
     operation: &str,
     layer: &LayerDims,
     tile: &Tile,
-    operand: &DenseOperand,
+    addrs: &AddrMap,
     sim: &SimContext,
 ) -> SimStats {
-    let (m, k_len) = (operand.weights.rows(), operand.weights.cols());
-    let n = operand.inputs.cols();
-    assert_eq!(operand.addrs.len(), k_len * n, "address map size mismatch");
+    let (m, k, n) = layer.gemm_extents();
     tile.validate(layer, config.ms_size)
         .unwrap_or_else(|e| panic!("tile invalid for {operation}: {e}"));
     let os = config.dataflow == Dataflow::OutputStationary;
     if config.dataflow == Dataflow::InputStationary {
-        let (layer, tile) = transposed_problem(config, m, k_len, n);
+        let (layer, tile) = transposed_problem(config, m, k, n);
         // Every streamed weight is a unique fetch: no address map.
         let mut stats =
-            filter_chunks_accounting(config, operation, os, &layer, &tile, n, k_len, m, &[], sim);
+            filter_chunks_accounting(config, operation, os, &layer, &tile, n, k, m, &[], sim);
         stats.operation = format!("{operation} [IS]");
         return stats;
     }
-    let addrs = &operand.addrs;
-    filter_chunks_accounting(config, operation, os, layer, tile, m, k_len, n, addrs, sim)
+    // `Unique` is never expanded: the walk short-circuits on an empty map.
+    let map = match addrs {
+        AddrMap::Unique { .. } => Vec::new(),
+        window => window.expand(),
+    };
+    assert!(
+        map.is_empty() || map.len() == k * n,
+        "address map size mismatch"
+    );
+    filter_chunks_accounting(config, operation, os, layer, tile, m, k, n, &map, sim)
 }
 
 /// The chunk walk behind every dataflow: sets up the loop-invariant
@@ -532,7 +639,6 @@ fn filter_chunks_accounting(
         pos_chunks: &pos_chunks,
         chunks_per_block,
         spill,
-        trivial_addrs: has_trivial_addrs(addrs),
     };
     let chunk_accounting = if output_stationary {
         os_chunk_accounting
@@ -637,7 +743,6 @@ fn os_chunk_accounting(
                 ctx.n,
                 row_lo..row_hi,
                 pos..pos_hi,
-                ctx.trivial_addrs,
                 &mut scratch.addrs,
             );
             let w_unique = chunk_filters * fold_rows;
@@ -822,18 +927,20 @@ mod tests {
 
     #[test]
     fn padding_addresses_do_not_count_as_fetches_or_mults() {
-        // One 2-tap dot product where the second tap is padding.
-        let weights = Matrix::from_rows(&[&[1.0, 1.0]]);
-        let inputs = Matrix::from_rows(&[&[3.0], &[0.0]]);
-        let op = DenseOperand {
-            weights,
-            inputs,
-            addrs: vec![0, PAD_ADDR],
-        };
-        let layer = LayerDims::from_gemm(1, 1, 2);
+        // One 3×3 window over a padded 1×1 input: eight of nine taps pad.
+        use stonne_tensor::Tensor4;
+        let geom = Conv2dGeom::new(1, 1, 3, 3, 1, 1, 1);
+        let input = Tensor4::from_vec(1, 1, 1, 1, vec![3.0]);
+        let weights = Tensor4::from_vec(1, 1, 3, 3, vec![1.0; 9]);
+        let op = crate::engine::conv_operand(&input, &weights, &geom, 0);
+        assert_eq!(
+            op.addrs.expand().iter().filter(|&&a| a != PAD_ADDR).count(),
+            1
+        );
+        let layer = LayerDims::from_conv(&geom, 1, 1, 1);
         let tile = Tile::auto(&layer, 16);
         let cfg = AcceleratorConfig::maeri_like(16, 16);
-        let (out, stats) = run_dense(&cfg, "gemm", &layer, &tile, &op);
+        let (out, stats) = run_dense(&cfg, "conv", &layer, &tile, &op);
         assert_eq!(out.get(0, 0), 3.0);
         assert_eq!(stats.counters.multiplications, 1);
     }
@@ -881,8 +988,8 @@ mod tests {
             let tile = Tile::auto(&layer, 32); // several k-chunks
             let mut cfg = AcceleratorConfig::maeri_like(32, 8);
             cfg.dataflow = dataflow;
-            let off = accounting(&cfg, "g", &layer, &tile, &op, &SimContext::disabled());
-            let on = accounting(&cfg, "g", &layer, &tile, &op, &SimContext::new());
+            let off = accounting(&cfg, "g", &layer, &tile, &op.addrs, &SimContext::disabled());
+            let on = accounting(&cfg, "g", &layer, &tile, &op.addrs, &SimContext::new());
             let mut stripped = on.clone();
             stripped.clear_host_counters();
             assert_eq!(off, stripped, "{dataflow:?}: only tile counters differ");
@@ -918,18 +1025,17 @@ mod tests {
 
     #[test]
     fn shared_addresses_are_multicast_once() {
-        // Two positions reading the same GB address: delivery counts 1.
-        let weights = Matrix::from_rows(&[&[2.0]]);
-        let inputs = Matrix::from_rows(&[&[5.0, 5.0]]);
-        let op = DenseOperand {
-            weights,
-            inputs,
-            addrs: vec![7, 7],
-        };
-        let layer = LayerDims::from_gemm(1, 2, 1);
+        // Two overlapping 1×2 windows over [5, 6, 7]: both read the 6.
+        use stonne_tensor::Tensor4;
+        let geom = Conv2dGeom::new(1, 1, 1, 2, 1, 0, 1);
+        let input = Tensor4::from_vec(1, 1, 1, 3, vec![5.0, 6.0, 7.0]);
+        let weights = Tensor4::from_vec(1, 1, 1, 2, vec![2.0, 1.0]);
+        let op = crate::engine::conv_operand(&input, &weights, &geom, 0);
+        assert_eq!(op.addrs.expand(), [0, 1, 1, 2]);
+        let layer = LayerDims::from_conv(&geom, 1, 3, 1);
         let tile = Tile {
             t_r: 1,
-            t_s: 1,
+            t_s: 2,
             t_c: 1,
             t_g: 1,
             t_k: 1,
@@ -938,9 +1044,9 @@ mod tests {
             t_yp: 2,
         };
         let cfg = AcceleratorConfig::maeri_like(16, 16);
-        let (out, stats) = run_dense(&cfg, "gemm", &layer, &tile, &op);
-        assert_eq!(out.as_slice(), &[10.0, 10.0]);
-        // 1 weight injection + 1 multicast input injection.
-        assert_eq!(stats.counters.dn_injections, 2);
+        let (out, stats) = run_dense(&cfg, "conv", &layer, &tile, &op);
+        assert_eq!(out.as_slice(), &[16.0, 19.0]);
+        // 2 weight injections + 3 input injections (the 6 multicasts).
+        assert_eq!(stats.counters.dn_injections, 5);
     }
 }

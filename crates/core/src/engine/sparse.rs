@@ -290,7 +290,7 @@ pub fn run_spmm(
 ) -> SparseRun {
     let plan = Plan::new(config, a, b.cols(), schedule);
     let output = functional(&plan, b);
-    let (stats, iterations) = accounting(config, operation, &plan, b);
+    let (stats, iterations) = accounting(config, operation, &plan, b.cols(), Some(b));
     SparseRun {
         output,
         stats,
@@ -347,17 +347,20 @@ pub(crate) fn functional(plan: &Plan, b: &Matrix) -> Matrix {
 }
 
 /// The accounting half: statistics and per-iteration packing info of the
-/// mapped run. Reads `b`'s extents — and, in activation-sparsity mode,
-/// its zero pattern — but never multiplies a value or writes an output.
+/// mapped run over `n` streaming columns. Reads the streaming operand `b`
+/// only in activation-sparsity mode, and then only its zero pattern; it
+/// never multiplies a value or writes an output.
 ///
 /// # Panics
 ///
-/// Panics if the configuration lacks a cluster-capable reduction network.
+/// Panics if the configuration lacks a cluster-capable reduction network,
+/// or exploits activation sparsity and `b` is absent.
 pub(crate) fn accounting(
     config: &AcceleratorConfig,
     operation: &str,
     plan: &Plan,
-    b: &Matrix,
+    n: usize,
+    b: Option<&Matrix>,
 ) -> (SimStats, Vec<IterationInfo>) {
     let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
     assert!(
@@ -365,7 +368,7 @@ pub(crate) fn accounting(
         "sparse controller needs a cluster-capable RN"
     );
     if plan.input_stationary {
-        debug_assert_eq!(b.cols(), 1);
+        debug_assert_eq!(n, 1);
         return (
             input_stationary_accounting(config, operation, plan),
             Vec::new(),
@@ -374,8 +377,10 @@ pub(crate) fn accounting(
     // The activation-sparsity (dual) mode reads the streaming operand's
     // zero pattern per column; without it every column of an iteration
     // costs the same and is charged in bulk.
-    let bt = config.exploit_activation_sparsity.then(|| b.transposed());
-    weight_stationary_accounting(config, operation, plan, b.cols(), bt.as_ref())
+    let bt = config
+        .exploit_activation_sparsity
+        .then(|| b.expect(crate::cache::NEEDS_ACTIVATIONS).transposed());
+    weight_stationary_accounting(config, operation, plan, n, bt.as_ref())
 }
 
 fn weight_stationary_accounting(

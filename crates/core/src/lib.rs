@@ -81,7 +81,7 @@ pub use config::{
     AcceleratorConfig, ConfigError, ControllerKind, Dataflow, DnKind, MnKind, RnKind, SparseFormat,
 };
 pub use context::SimContext;
-pub use engine::flexible::{DenseOperand, PAD_ADDR};
+pub use engine::flexible::{AddrMap, DenseOperand, PAD_ADDR};
 pub use engine::sparse::{IterationInfo, NaturalOrder, RowSchedule, SparseRun};
 pub use engine::systolic::expected_cycles as systolic_expected_cycles;
 pub use mapping::{candidate_tiles, LayerDims, MappingSignals, Tile};

@@ -66,6 +66,13 @@ impl LayerDims {
         }
     }
 
+    /// The layer as one group's GEMM: `(M, K, N)` = filters per group ×
+    /// dot-product length × output positions.
+    pub fn gemm_extents(&self) -> (usize, usize, usize) {
+        let positions = self.n * self.xp * self.yp;
+        (self.k_per_group(), self.dot_len(), positions)
+    }
+
     /// Dot-product length per output: `R·S·C/G`.
     pub fn dot_len(&self) -> usize {
         self.r * self.s * self.c / self.g

@@ -22,7 +22,7 @@
 
 use crate::cache::CacheKey;
 use crate::config::{AcceleratorConfig, ControllerKind, Dataflow, DnKind};
-use crate::engine::flexible::DenseOperand;
+use crate::engine::flexible::AddrMap;
 use crate::engine::sparse::{NaturalOrder, RowSchedule};
 use crate::mapping::{LayerDims, Tile};
 use crate::networks::ReductionNetwork;
@@ -159,13 +159,13 @@ impl LayerFeatures {
             model_dram: config.model_dram,
             dram_latency: config.dram.latency_cycles,
             dram_elements_per_cycle: config.dram.elements_per_cycle(),
-            key_digest: crate::store::digest64(&key.canonical()),
+            key_digest: key.digest(),
         }
     }
 
     /// Features of a systolic GEMM `M×K · K×N`.
     pub fn systolic(config: &AcceleratorConfig, m: usize, n: usize, k: usize) -> Self {
-        let key = CacheKey::systolic(config, m, n, k);
+        let key = CacheKey::systolic(&config.to_cfg_string().into(), m, n, k);
         let pe = config.pe_dim();
         Self {
             m,
@@ -179,19 +179,16 @@ impl LayerFeatures {
         }
     }
 
-    /// Features of a flexible-dense tiled GEMM over an explicit operand.
+    /// Features of a flexible-dense tiled GEMM: `layer`'s extents under the
+    /// given address-map generator.
     pub fn dense(
         config: &AcceleratorConfig,
         layer: &LayerDims,
         tile: &Tile,
-        operand: &DenseOperand,
+        addrs: &AddrMap,
     ) -> Self {
-        let key = CacheKey::dense(config, layer, tile, operand);
-        let (m, k, n) = (
-            operand.weights.rows(),
-            operand.weights.cols(),
-            operand.inputs.cols(),
-        );
+        let key = CacheKey::dense(&config.to_cfg_string().into(), layer, tile, addrs);
+        let (m, k, n) = layer.gemm_extents();
         Self {
             m,
             n,
@@ -203,19 +200,22 @@ impl LayerFeatures {
             t_k: tile.t_k * tile.t_g,
             t_pos: tile.t_n * tile.t_xp * tile.t_yp,
             yp: layer.yp,
-            trivial_addrs: crate::engine::flexible::has_trivial_addrs(&operand.addrs),
+            trivial_addrs: matches!(addrs, AddrMap::Unique { .. }),
             ..Self::base(config, EngineKind::FlexibleDense, &key)
         }
     }
 
-    /// Features of a sparse `CSR (M×K) × dense (K×N)` multiplication.
+    /// Features of a sparse `CSR (M×K) × dense (K×n)` multiplication; the
+    /// streaming operand `b` is read only when the configuration exploits
+    /// activation sparsity.
     pub fn spmm(
         config: &AcceleratorConfig,
         a: &CsrMatrix,
-        b: &Matrix,
+        n: usize,
+        b: Option<&Matrix>,
         schedule: &dyn RowSchedule,
     ) -> Self {
-        let key = CacheKey::spmm(config, a, b, schedule);
+        let key = CacheKey::spmm(config, &config.to_cfg_string().into(), a, n, b, schedule);
         let (mut min, mut max, mut empty) = (usize::MAX, 0usize, 0usize);
         for r in 0..a.rows() {
             let nnz = a.row_nnz(r);
@@ -227,30 +227,31 @@ impl LayerFeatures {
         }
         Self {
             m: a.rows(),
-            n: b.cols(),
+            n,
             k: a.cols(),
-            macs: a.nnz() as u64 * b.cols() as u64,
+            macs: a.nnz() as u64 * n as u64,
             nnz: a.nnz() as u64,
             row_nnz_min: if a.rows() == 0 { 0 } else { min },
             row_nnz_max: max,
             empty_rows: empty,
-            sparse_meta_cycles: crate::engine::sparse::ws_metadata_cycles(
-                config,
-                a,
-                b.cols(),
-                schedule,
-            )
-            .unwrap_or(0),
+            sparse_meta_cycles: crate::engine::sparse::ws_metadata_cycles(config, a, n, schedule)
+                .unwrap_or(0),
             ..Self::base(config, EngineKind::Sparse, &key)
         }
     }
 
-    /// Features of a max-pool layer.
-    pub fn pool(config: &AcceleratorConfig, input: &Tensor4, window: usize, stride: usize) -> Self {
-        let key = CacheKey::pool(config, input, window, stride);
-        let oh = (input.h() - window) / stride + 1;
-        let ow = (input.w() - window) / stride + 1;
-        let planes = input.n() * input.c();
+    /// Features of a max-pool layer over an `(n, c, h, w)` input.
+    pub fn pool(
+        config: &AcceleratorConfig,
+        shape: (usize, usize, usize, usize),
+        window: usize,
+        stride: usize,
+    ) -> Self {
+        let key = CacheKey::pool(&config.to_cfg_string().into(), shape, window, stride);
+        let (n, c, h, w) = shape;
+        let oh = (h - window) / stride + 1;
+        let ow = (w - window) / stride + 1;
+        let planes = n * c;
         Self {
             m: planes,
             n: oh * ow,
@@ -270,22 +271,22 @@ impl LayerFeatures {
 pub fn gemm_features(config: &AcceleratorConfig, a: &Matrix, b: &Matrix) -> LayerFeatures {
     if config.controller == ControllerKind::Sparse {
         let csr = CsrMatrix::from_dense(a);
-        return LayerFeatures::spmm(config, &csr, b, &NaturalOrder);
+        return LayerFeatures::spmm(config, &csr, b.cols(), Some(b), &NaturalOrder);
     }
     if config.dn == DnKind::PointToPoint {
         return LayerFeatures::systolic(config, a.rows(), b.cols(), a.cols());
     }
     let layer = LayerDims::from_gemm(a.rows(), b.cols(), a.cols());
     let tile = Tile::auto_bw(&layer, config.ms_size, config.dn_bandwidth);
-    let operand = DenseOperand::from_gemm(a.clone(), b.clone());
-    LayerFeatures::dense(config, &layer, &tile, &operand)
+    let addrs = AddrMap::Unique { len: b.len() };
+    LayerFeatures::dense(config, &layer, &tile, &addrs)
 }
 
 /// Features of a sparse multiplication with the default (natural) filter
 /// schedule, as `Stonne::run_spmm` would dispatch it on a sparse
 /// controller.
 pub fn spmm_features(config: &AcceleratorConfig, a: &CsrMatrix, b: &Matrix) -> LayerFeatures {
-    LayerFeatures::spmm(config, a, b, &NaturalOrder)
+    LayerFeatures::spmm(config, a, b.cols(), Some(b), &NaturalOrder)
 }
 
 /// Features of a max-pool layer, as `Stonne::run_maxpool` would extract
@@ -296,7 +297,7 @@ pub fn pool_features(
     window: usize,
     stride: usize,
 ) -> LayerFeatures {
-    LayerFeatures::pool(config, input, window, stride)
+    LayerFeatures::pool(config, input.shape(), window, stride)
 }
 
 /// A per-layer cycle predictor the accelerator can run instead of the

@@ -500,7 +500,8 @@ mod tests {
     }
 
     fn key(m: usize) -> CacheKey {
-        CacheKey::systolic(&AcceleratorConfig::tpu_like(4), m, 8, 16)
+        let cfg = AcceleratorConfig::tpu_like(4).to_cfg_string().into();
+        CacheKey::systolic(&cfg, m, 8, 16)
     }
 
     fn entry(cycles: u64) -> CacheEntry {

@@ -23,7 +23,7 @@
 use crate::backend::SimBackend;
 use crate::executor::{execute_node, is_offloaded_op};
 use crate::params::ModelParams;
-use crate::runner::{LayerReport, ModelRun, RunOptions};
+use crate::runner::{ModelRun, RunOptions};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -316,28 +316,12 @@ pub(crate) fn run_checkpointed(
 
     let mut all_stats = restored_stats;
     all_stats.extend_from_slice(backend.into_sim().history());
-    let mut total = SimStats {
-        operation: "aggregate".to_owned(),
+    Ok(ModelRun::assemble(
+        values,
+        all_stats,
         ms_size,
-        ..SimStats::default()
-    };
-    for s in &all_stats {
-        total.merge(s);
-    }
-    let layers: Vec<LayerReport> = all_stats
-        .into_iter()
-        .map(|s| LayerReport {
-            name: s.operation.clone(),
-            stats: s,
-        })
-        .collect();
-    let energy = energy_model.breakdown(&total);
-    Ok(ModelRun {
-        outputs: values,
-        layers,
-        total,
-        energy,
-    })
+        &energy_model,
+    ))
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 use crate::backend::Backend;
 use crate::params::ModelParams;
 use crate::value::Value;
-use stonne_models::{ModelSpec, OpSpec};
+use stonne_core::{RowSchedule, Stonne};
+use stonne_models::{ModelSpec, OpSpec, TensorShape};
 use stonne_tensor::{Elem, Matrix, Tensor4};
 
 /// Executes the model and returns every node's output value (node 0 is
@@ -95,6 +96,53 @@ pub(crate) fn execute_node<B: Backend>(
         OpSpec::Softmax => Value::Tokens(softmax_rows(get(0).as_tokens(), false)),
         OpSpec::LogSoftmax => Value::Tokens(softmax_rows(get(0).as_tokens(), true)),
         OpSpec::LayerNorm => Value::Tokens(layer_norm(get(0).as_tokens())),
+    }
+}
+
+/// The timing-only counterpart of [`execute_graph`]: walks
+/// `ModelSpec::infer_shapes` in the same node order and offloads the same
+/// operations under the same names (attention heads included) through
+/// `sim`'s shape-level `time_*` entry points. No activation is computed;
+/// statistics accumulate in `sim`'s history as in a full run.
+///
+/// # Panics
+///
+/// Panics when the graph fails shape inference, `input` is not the
+/// model's input shape, or a parameterized node is missing weights.
+pub(crate) fn time_graph(
+    model: &ModelSpec,
+    params: &ModelParams,
+    input: &Value,
+    sim: &mut Stonne,
+    schedule: &dyn RowSchedule,
+) {
+    let shapes = model
+        .infer_shapes()
+        .unwrap_or_else(|e| panic!("invalid graph: {e}"));
+    assert_eq!(input.shape(), shapes[0], "input shape mismatch");
+    for (id, node) in model.nodes().iter().enumerate() {
+        let name = node.name.as_str();
+        let weights = || params.get(id).expect("parameterized node has weights");
+        match (node.op, node.inputs.first().map(|&i| shapes[i])) {
+            (OpSpec::Conv2d { geom }, Some(TensorShape::Feature { c, h, w })) => {
+                let kernel = weights().as_conv();
+                sim.time_conv(name, (1, c, h, w), kernel, &geom, None, schedule);
+            }
+            (OpSpec::Linear { .. }, Some(TensorShape::Tokens { seq, .. })) => {
+                sim.time_linear(name, seq, weights().as_linear(), schedule);
+            }
+            (OpSpec::MaxPool { window, stride }, Some(TensorShape::Feature { c, h, w })) => {
+                sim.time_maxpool(name, (1, c, h, w), window, stride);
+            }
+            (OpSpec::Attention { heads }, Some(TensorShape::Tokens { seq, dim })) => {
+                let dh = dim / heads;
+                for h in 0..heads {
+                    sim.time_gemm(&format!("{name}.h{h}.qk"), (seq, dh, seq), None, schedule);
+                    sim.time_gemm(&format!("{name}.h{h}.sv"), (seq, seq, dh), None, schedule);
+                }
+            }
+            (op, shape) => assert!(!is_offloaded_op(&op), "node {id} ({name}): {shape:?}"),
+        }
     }
 }
 

@@ -18,8 +18,10 @@
 //! * [`runner`] — full-model inference: per-layer statistics, aggregate
 //!   cycles/energy, and functional validation against the reference.
 //!   [`RunOptions`] controls layer-simulation memoization (on by default;
-//!   see [`stonne_core::SimCache`]), independent-layer parallelism, and
-//!   checkpoint/resume (`checkpoint_every` / `resume_from`).
+//!   see [`stonne_core::SimCache`]), independent-layer parallelism,
+//!   checkpoint/resume (`checkpoint_every` / `resume_from`), and whether
+//!   activations are computed at all (`timing_only`: statistics from
+//!   shapes, for callers that never read an output).
 //! * [`checkpoint`] — deterministic snapshot/resume at layer boundaries:
 //!   interrupted runs restart at the last boundary and finish
 //!   bitwise-identical to uninterrupted ones, guarded by a state hash.
@@ -61,7 +63,7 @@ pub use parallel::{run_parallel, ParallelError};
 pub use params::{generate_input, ModelParams, NodeWeights};
 pub use runner::{
     run_model_reference, run_model_simulated, run_model_simulated_traced,
-    run_model_simulated_traced_with, run_model_simulated_with, LayerReport, ModelRun, ReferenceRun,
-    RunOptions,
+    run_model_simulated_traced_with, run_model_simulated_with, timing_needs_values, LayerReport,
+    ModelRun, ReferenceRun, RunOptions,
 };
 pub use value::Value;

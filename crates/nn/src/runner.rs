@@ -3,7 +3,7 @@
 //! validation.
 
 use crate::backend::{ReferenceBackend, SimBackend};
-use crate::executor::{execute_graph, execute_node, is_offloaded_op};
+use crate::executor::{execute_graph, execute_node, is_offloaded_op, time_graph};
 use crate::parallel::run_parallel;
 use crate::params::ModelParams;
 use crate::value::Value;
@@ -11,10 +11,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use stonne_core::predict::CyclePredictor;
 use stonne_core::{
-    AcceleratorConfig, ConfigError, NaturalOrder, RowSchedule, SimCache, SimContext, SimStats,
-    Stonne,
+    AcceleratorConfig, ConfigError, ControllerKind, NaturalOrder, RowSchedule, SimCache,
+    SimContext, SimStats, Stonne,
 };
 use stonne_energy::{EnergyBreakdown, EnergyModel};
+use stonne_models::OpSpec;
 
 /// Statistics of one offloaded layer inside a model run.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +37,8 @@ pub struct ReferenceRun {
 #[derive(Debug, Clone)]
 pub struct ModelRun {
     /// Every node's output value (functionally comparable to the
-    /// reference run).
+    /// reference run). Empty after a timing-only run
+    /// ([`RunOptions::timing_only`]), which computes no activation.
     pub outputs: Vec<Value>,
     /// Per-offloaded-operation statistics, in execution order.
     pub layers: Vec<LayerReport>,
@@ -47,13 +49,41 @@ pub struct ModelRun {
 }
 
 impl ModelRun {
+    /// Assembles a run from its node values and the statistics of its
+    /// offloaded operations in execution order — the one tail shared by
+    /// the sequential, wave-parallel, checkpointed and timing-only paths.
+    pub(crate) fn assemble(
+        outputs: Vec<Value>,
+        stats: Vec<SimStats>,
+        ms_size: usize,
+        energy_model: &EnergyModel,
+    ) -> Self {
+        let mut total = SimStats {
+            operation: "aggregate".to_owned(),
+            ms_size,
+            ..SimStats::default()
+        };
+        stats.iter().for_each(|s| total.merge(s));
+        let name = |stats: SimStats| LayerReport {
+            name: stats.operation.clone(),
+            stats,
+        };
+        Self {
+            outputs,
+            layers: stats.into_iter().map(name).collect(),
+            energy: energy_model.breakdown(&total),
+            total,
+        }
+    }
+
     /// The final (classifier) output of the model.
     ///
     /// # Panics
     ///
-    /// Panics if the run produced no values (impossible for valid graphs).
+    /// Panics if the run produced no values: a timing-only run
+    /// (impossible for valid graphs otherwise).
     pub fn final_output(&self) -> &Value {
-        self.outputs.last().expect("non-empty graph")
+        self.outputs.last().expect("a run that computed outputs")
     }
 
     /// Serializes the run's statistics (per-layer + aggregate + energy)
@@ -108,6 +138,7 @@ pub struct RunOptions {
     resume: Option<PathBuf>,
     predictor: Option<Arc<dyn CyclePredictor>>,
     context: Option<SimContext>,
+    timing_only: bool,
 }
 
 impl Default for RunOptions {
@@ -120,6 +151,7 @@ impl Default for RunOptions {
             resume: None,
             predictor: None,
             context: None,
+            timing_only: false,
         }
     }
 }
@@ -152,6 +184,19 @@ impl RunOptions {
     /// counters or the attached disk store after a run.
     pub fn cache_handle(&self) -> Option<&SimCache> {
         self.cache.as_ref()
+    }
+
+    /// Asks for statistics only: one sequential walk accounts every layer
+    /// from shapes (and the weights' zero patterns), no activation is
+    /// computed and [`ModelRun::outputs`] comes back empty; `layers`,
+    /// `total`, `energy` and every layer-cache entry written are exactly
+    /// the full run's. Where timing depends on activation values
+    /// ([`timing_needs_values`]) and for checkpointed runs (their state
+    /// hash covers the outputs) the run stays a full one.
+    #[must_use]
+    pub fn timing_only(mut self) -> Self {
+        self.timing_only = true;
+        self
     }
 
     /// Dispatches independent ready layers (BERT's q/k/v projections,
@@ -271,6 +316,17 @@ impl RunOptions {
     }
 }
 
+/// Whether the timing of `model` on `config` depends on activation
+/// values, so that a [`RunOptions::timing_only`] run has to be a full one:
+/// a sparse controller that exploits activation sparsity (delivery follows
+/// the streaming operand's zero mask) or meets an attention node (its
+/// stationary operands are activations). Decided per run, not per layer.
+pub fn timing_needs_values(model: &stonne_models::ModelSpec, config: &AcceleratorConfig) -> bool {
+    let attention = |n: &stonne_models::NodeSpec| matches!(n.op, OpSpec::Attention { .. });
+    config.controller == ControllerKind::Sparse
+        && (config.exploit_activation_sparsity || model.nodes().iter().any(attention))
+}
+
 /// Runs a model natively on the CPU (the paper's correctness baseline).
 pub fn run_model_reference(
     model: &stonne_models::ModelSpec,
@@ -354,7 +410,8 @@ pub fn run_model_simulated_with(
             energy_model,
         );
     }
-    if options.parallel {
+    let timing_only = options.timing_only && !timing_needs_values(model, &config);
+    if options.parallel && !timing_only {
         return run_parallel_waves(
             model,
             params,
@@ -374,26 +431,19 @@ pub fn run_model_simulated_with(
     if let Some(predictor) = options.predictor {
         sim = sim.with_predictor(predictor);
     }
-    let mut backend = SimBackend::new(sim).with_schedule(schedule);
-    let outputs = execute_graph(model, params, input, &mut backend);
-    let sim = backend.into_sim();
+    let outputs = if timing_only {
+        time_graph(model, params, input, &mut sim, schedule.as_ref());
+        Vec::new()
+    } else {
+        let mut backend = SimBackend::new(sim).with_schedule(schedule);
+        let outputs = execute_graph(model, params, input, &mut backend);
+        sim = backend.into_sim();
+        outputs
+    };
 
-    let layers: Vec<LayerReport> = sim
-        .history()
-        .iter()
-        .map(|s| LayerReport {
-            name: s.operation.clone(),
-            stats: s.clone(),
-        })
-        .collect();
-    let total = sim.aggregate_stats();
-    let energy = energy_model.breakdown(&total);
-    Ok(ModelRun {
-        outputs,
-        layers,
-        total,
-        energy,
-    })
+    let ms_size = sim.config().ms_size;
+    let stats = sim.history().to_vec();
+    Ok(ModelRun::assemble(outputs, stats, ms_size, &energy_model))
 }
 
 /// The parallel path of [`run_model_simulated_with`]: executes the graph
@@ -528,29 +578,13 @@ fn run_parallel_waves(
         .into_iter()
         .map(|v| v.expect("all nodes executed"))
         .collect();
-    let layers: Vec<LayerReport> = node_stats
-        .into_iter()
-        .flatten()
-        .map(|s| LayerReport {
-            name: s.operation.clone(),
-            stats: s,
-        })
-        .collect();
-    let mut total = SimStats {
-        operation: "aggregate".to_owned(),
-        ms_size: config.ms_size,
-        ..SimStats::default()
-    };
-    for l in &layers {
-        total.merge(&l.stats);
-    }
-    let energy = energy_model.breakdown(&total);
-    Ok(ModelRun {
+    let stats = node_stats.into_iter().flatten().collect();
+    Ok(ModelRun::assemble(
         outputs,
-        layers,
-        total,
-        energy,
-    })
+        stats,
+        config.ms_size,
+        &energy_model,
+    ))
 }
 
 /// Runs a model on a simulated accelerator while recording a cycle-level

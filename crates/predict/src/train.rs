@@ -14,7 +14,7 @@ use crate::math::det_ln;
 use crate::model::{Model, Stump};
 use serde::{Deserialize, Serialize};
 use stonne_core::predict::LayerFeatures;
-use stonne_core::{pool_features, spmm_features, AcceleratorConfig, Stonne};
+use stonne_core::{pool_features, spmm_features, AcceleratorConfig, NaturalOrder, Stonne};
 use stonne_tensor::{CsrMatrix, Matrix, SeededRng, Tensor4};
 
 /// Schema tag of the error-report artifact.
@@ -200,9 +200,10 @@ fn sparsify(m: &mut Matrix, zero_pct: usize, r: &mut Rolls) {
 }
 
 /// Generates and labels sample `i` of the campaign: builds a workload,
-/// runs it on the exact engine (no cache, no DRAM modeling — the
-/// predictor, like the simulation cache, estimates pre-DRAM cycles) and
-/// extracts the matching features.
+/// times it on the exact engine (no cache, no DRAM modeling — the
+/// predictor, like the simulation cache, estimates pre-DRAM cycles; no
+/// output is computed unless the cycle count depends on activation
+/// values) and extracts the matching features.
 fn labeled_sample(seed: u64, i: u64) -> Sample {
     let mut r = Rolls(sample_seed(seed, i));
     let mut rng = SeededRng::new(r.next());
@@ -223,7 +224,7 @@ fn labeled_sample(seed: u64, i: u64) -> Sample {
             let b = Matrix::random(k, n, &mut rng);
             let f = stonne_core::gemm_features(&cfg, &a, &b);
             let mut sim = Stonne::new(cfg.clone()).expect("preset validates");
-            let (_, stats) = sim.run_gemm("label", &a, &b);
+            let stats = sim.time_gemm("label", (m, k, n), None, &NaturalOrder);
             (cfg, f, stats.cycles)
         }
         "flexible" => {
@@ -241,7 +242,7 @@ fn labeled_sample(seed: u64, i: u64) -> Sample {
             let b = Matrix::random(k, n, &mut rng);
             let f = stonne_core::gemm_features(&cfg, &a, &b);
             let mut sim = Stonne::new(cfg.clone()).expect("preset validates");
-            let (_, stats) = sim.run_gemm("label", &a, &b);
+            let stats = sim.time_gemm("label", (m, k, n), None, &NaturalOrder);
             (cfg, f, stats.cycles)
         }
         "sparse" => {
@@ -262,7 +263,11 @@ fn labeled_sample(seed: u64, i: u64) -> Sample {
             let csr = CsrMatrix::from_dense(&a);
             let f = spmm_features(&cfg, &csr, &b);
             let mut sim = Stonne::new(cfg.clone()).expect("preset validates");
-            let (_, stats) = sim.run_spmm("label", &csr, &b);
+            let stats = if cfg.exploit_activation_sparsity {
+                sim.run_spmm("label", &csr, &b).1
+            } else {
+                sim.time_gemm("label", (m, k, n), Some(&a), &NaturalOrder)
+            };
             (cfg, f, stats.cycles)
         }
         _ => {
@@ -275,7 +280,7 @@ fn labeled_sample(seed: u64, i: u64) -> Sample {
             let input = Tensor4::random(r.range(1, 2), r.range(1, 8), h, h, &mut rng);
             let f = pool_features(&cfg, &input, window, stride);
             let mut sim = Stonne::new(cfg.clone()).expect("preset validates");
-            let (_, stats) = sim.run_maxpool("label", &input, window, stride);
+            let stats = sim.time_maxpool("label", input.shape(), window, stride);
             (cfg, f, stats.cycles)
         }
     };

@@ -221,17 +221,14 @@ pub fn expand(request: &SweepRequest) -> Result<Expansion, String> {
         }
     }
     // Validate then dedup each axis, keeping first occurrences in order.
+    // Architectures dedup on the configuration they resolve to (`tpu`
+    // ignores `bw`, `ms 0` means 256), not on the spelled-out triple.
     let mut archs: Vec<&ArchSpec> = Vec::new();
-    let mut arch_keys: Vec<(String, usize, usize)> = Vec::new();
+    let mut arch_cfgs: Vec<AcceleratorConfig> = Vec::new();
     for spec in &request.archs {
         let cfg = config_for(spec)?;
-        let key = (
-            spec.arch.clone(),
-            cfg.ms_size,
-            if spec.bw == 0 { 128 } else { spec.bw },
-        );
-        if !arch_keys.contains(&key) {
-            arch_keys.push(key);
+        if !arch_cfgs.contains(&cfg) {
+            arch_cfgs.push(cfg);
             archs.push(spec);
         }
     }
@@ -359,11 +356,15 @@ pub(crate) fn run_point_on(
         ms: point.ms,
         bw: point.bw,
     })?;
+    // A point result is cycles, counters and energy — never a tensor —
+    // so neither fidelity computes activations.
     let options = match exact {
         Some((cache, context)) => RunOptions::new()
+            .timing_only()
             .with_cache(cache.clone())
             .with_context(context.clone()),
         None => RunOptions::new()
+            .timing_only()
             .uncached()
             .with_predictor(stonne::predict::Model::committed()),
     };
@@ -461,6 +462,17 @@ mod tests {
         for (i, p) in expansion.points.iter().enumerate() {
             assert_eq!(p.index, i, "indices stay dense after dedup");
         }
+        // `tpu` has no bandwidth knob: `tpu:16:0` and `tpu:16:64` resolve
+        // to one accelerator and are simulated once.
+        let mut r = request();
+        r.archs[1].bw = 0;
+        r.archs.push(ArchSpec {
+            bw: 64,
+            ..r.archs[1].clone()
+        });
+        assert_eq!(r.archs[1].arch, "tpu");
+        let expansion = expand(&r).unwrap();
+        assert_eq!((expansion.points.len(), expansion.collapsed), (4, 2));
         // A blank scale and an explicit `tiny` are the same model.
         let mut r = request();
         r.models.push(ModelSel {

@@ -22,8 +22,8 @@
 //! worker is alive at a time; results still *stream* in `index` order.
 
 use crate::api::{
-    build_inputs, expand, parse_fidelity, run_point_ctx, run_point_on, Expansion, PointResult,
-    SweepPoint, SweepRequest,
+    build_inputs, expand, parse_fidelity, run_point_on, Expansion, PointResult, SweepPoint,
+    SweepRequest,
 };
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
@@ -154,7 +154,8 @@ pub struct Job {
     fast: bool,
     /// `points[i]` runs on the inputs of slot `slot_of[i]`.
     slot_of: Vec<usize>,
-    /// Input sets generated so far (a fully resumed job generates none).
+    /// Input sets generated so far, a fast job's frontier re-score
+    /// included (a fully resumed job generates none).
     pub(crate) inputs_built: AtomicUsize,
 }
 
@@ -407,9 +408,20 @@ impl Job {
             let p = self.progress.lock().unwrap();
             p.results.iter().flatten().cloned().collect()
         };
+        // The grid's input sets were released as its points finished; the
+        // frontier rebuilds one per input key, not one per point.
+        let mut inputs: HashMap<usize, Result<ModelInputs, String>> = HashMap::new();
         for grid_index in pareto_frontier(&snapshot) {
             let point = &self.points[grid_index];
-            match run_point_ctx(point, &self.cache, &self.context) {
+            let inputs = inputs.entry(self.slot_of[grid_index]).or_insert_with(|| {
+                self.inputs_built.fetch_add(1, Ordering::Relaxed);
+                build_inputs(point)
+            });
+            let outcome = match inputs {
+                Ok(inputs) => run_point_on(point, inputs, Some((&self.cache, &self.context))),
+                Err(message) => Err(format!("inputs: {message}")),
+            };
+            match outcome {
                 Ok((mut exact, stats)) => {
                     let predicted = snapshot
                         .iter()
@@ -823,6 +835,29 @@ mod tests {
             assert_eq!(job.status().failed, 0);
             manager.shutdown();
         }
+    }
+
+    /// A fast job's exact leg shares too: the frontier re-score builds
+    /// one input set per input key on the frontier, not one per point.
+    #[test]
+    fn frontier_rescore_builds_one_input_set_per_key() {
+        let mut request = shared_request();
+        request.fidelity = "fast".into();
+        let manager = JobManager::new(2, None);
+        let job = manager.submit(&request).unwrap();
+        job.wait_done();
+        let frontier = job.status().frontier;
+        let keys: std::collections::HashSet<usize> =
+            frontier.iter().map(|f| job.slot_of[f.index]).collect();
+        assert!(!frontier.is_empty() && job.errors().is_empty());
+        // Two sets for the fast grid, then one per frontier key.
+        assert_eq!(job.inputs_built.load(Ordering::Relaxed), 2 + keys.len());
+        for f in &frontier {
+            let (exact, _) = crate::api::run_point(&job.points[f.index], &SimCache::new()).unwrap();
+            assert_eq!(f.exact_cycles, exact.cycles, "point {}", f.index);
+            assert_eq!(job.result_at(f.index).unwrap().cycles, exact.cycles);
+        }
+        manager.shutdown();
     }
 
     #[test]

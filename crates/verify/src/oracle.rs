@@ -28,7 +28,7 @@ use stonne::core::{
 use stonne::energy::EnergyModel;
 use stonne::models::{zoo, ModelScale};
 use stonne::nn::params::{generate_input, ModelParams};
-use stonne::nn::runner::{run_model_simulated_with, RunOptions};
+use stonne::nn::runner::{run_model_simulated_with, timing_needs_values, ModelRun, RunOptions};
 use stonne::tensor::{
     approx_eq, gemm_reference, maxpool2d_reference, spmm_reference, CsrMatrix, Matrix, SeededRng,
     Tensor4,
@@ -68,7 +68,7 @@ pub struct SampleCheck {
 }
 
 /// The fixed oracle roster, in report order.
-pub const ORACLES: [&str; 18] = [
+pub const ORACLES: [&str; 19] = [
     "systolic_exact_cycles",
     "flexible_maeri_band",
     "sigma_dense_band",
@@ -78,6 +78,7 @@ pub const ORACLES: [&str; 18] = [
     "tile_cache_bitwise",
     "serial_parallel_equal",
     "state_hash_stable",
+    "timing_only_equals_full",
     "intra_serial_parallel_bitwise",
     "resume_vs_straight_bitwise",
     "shard_merge_bitwise",
@@ -588,6 +589,44 @@ fn check_model_run(model: stonne::models::ModelId, arch: u8, seed: u64) -> Sampl
         None,
         format!(
             "{} on {}: serial {hs:#018x} vs parallel {hp:#018x}",
+            model.name(),
+            arch.name()
+        ),
+    );
+    // A run that computes no activation must report the full run's
+    // statistics to the last counter (both start from a fresh cache) —
+    // or, where timing reads activation values, be the full run.
+    let timed = run_model_simulated_with(
+        &spec,
+        &params,
+        &input,
+        arch.config(),
+        Arc::new(NaturalOrder),
+        RunOptions::new().timing_only(),
+    )
+    .expect("preset configs are valid");
+    let fallback = timing_needs_values(&spec, &arch.config());
+    let expected_outputs = if fallback {
+        serial.outputs.clone()
+    } else {
+        Vec::new()
+    };
+    let outputs_as_expected = timed.outputs == expected_outputs;
+    let layers_equal = timed.layers == serial.layers;
+    let totals_equal = timed.total == serial.total && timed.energy == serial.energy;
+    let stats_only = ModelRun {
+        outputs: expected_outputs,
+        ..serial.clone()
+    };
+    let (ht, hf) = (timed.state_hash(), stats_only.state_hash());
+    push(
+        &mut outcomes,
+        "timing_only_equals_full",
+        outputs_as_expected && layers_equal && totals_equal && ht == hf,
+        None,
+        format!(
+            "{} on {}: fallback {fallback} outputs {outputs_as_expected} layers {layers_equal} \
+             totals+energy {totals_equal} stats hash {ht:#018x} vs {hf:#018x}",
             model.name(),
             arch.name()
         ),
@@ -1276,6 +1315,24 @@ mod tests {
             .find(|o| o.oracle == "state_hash_stable")
             .expect("oracle applies to model runs");
         assert!(hash.passed, "{}", hash.detail);
+    }
+
+    #[test]
+    fn timing_only_oracle_covers_both_the_shape_walk_and_the_fallback() {
+        // SqueezeNet on MAERI walks shapes; BERT on SIGMA (attention on a
+        // sparse controller) falls back to the full run.
+        for (model, arch, fallback) in [
+            (stonne::models::ModelId::SqueezeNet, 1, "fallback false"),
+            (stonne::models::ModelId::Bert, 2, "fallback true"),
+        ] {
+            let r = check_workload(&Workload::ModelRun { model, arch }, 0x71);
+            let o = r
+                .outcomes
+                .iter()
+                .find(|o| o.oracle == "timing_only_equals_full");
+            let o = o.expect("oracle applies to model runs");
+            assert!(o.passed && o.detail.contains(fallback), "{}", o.detail);
+        }
     }
 
     #[test]

@@ -77,6 +77,7 @@ fi
 if [ "$1" = "ci" ]; then
     run() { echo "offline-check: $*" >&2; "$@"; }
     run cargo --offline fmt --all --check
+    run tools/one-path-guard.sh
     # -A unused: the proptest stub swallows property-test bodies, so
     # items used only inside them look unused offline (they are not in
     # CI, which compiles the real proptest).
@@ -92,6 +93,10 @@ if [ "$1" = "ci" ]; then
             campaign::tests::merged_shards_reproduce_the_monolithic_report
     done
     run cargo --offline test --release -p stonne-verify --test golden_fixtures
+    # The verify job's timing-only gate: the cache-interchange test and
+    # the `timing_only_equals_full` oracle's own unit test.
+    run cargo --offline test --release -p stonne-nn --test timing_only
+    run cargo --offline test --release -p stonne-verify --lib timing_only_oracle
     run cargo --offline run --release -p stonne-verify -- --samples 200 --seed 7
     # The nightly shard/merge protocol, at PR scale: two CLI shards of
     # the seed-7 campaign must merge to the byte-identical report the
