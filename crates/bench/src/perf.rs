@@ -367,7 +367,7 @@ fn run_entry(name: &str, cfg: &PerfConfig) -> BenchEntry {
         ModelScale::Reduced
     };
     let serial = RunOptions::new().uncached();
-    let intra = RunOptions::new().uncached().intra_layer_parallel();
+    let intra = RunOptions::new().uncached().parallel();
     let e = match name {
         "micro_systolic_os_gemm" => micro_systolic(cfg.quick, cfg.reps),
         "micro_flexible_ws_gemm" => {

@@ -6,8 +6,9 @@
 //! pair simulates once, then thousands of requests replay it) and
 //! bitwise-reproducible: the profiles are a pure function of the request
 //! — cache hits, store warmth, and serial-vs-pool execution cannot
-//! change a single byte of them (the wave-parallel runner is bitwise
-//! equal to serial, and the volatile cache counters are stripped).
+//! change a single byte of them (each profile is one timing-only walk
+//! over the model's shapes, and the volatile cache counters are
+//! stripped).
 
 use crate::spec::{parse_model, parse_scale, ClusterRequest};
 use serde::{Deserialize, Serialize};
@@ -23,9 +24,9 @@ use stonne::nn::Value;
 pub enum ExecMode {
     /// One run after another on the calling thread.
     Serial,
-    /// All runs fan out across the `stonne-nn` worker pool, each run
-    /// itself using wave-parallel layer execution. Results are bitwise
-    /// identical to [`ExecMode::Serial`].
+    /// All runs fan out across the `stonne-nn` worker pool (each run is
+    /// itself one sequential walk). Results are bitwise identical to
+    /// [`ExecMode::Serial`].
     Pool,
 }
 
@@ -106,7 +107,6 @@ fn profile_one(
     inputs: &ModelInputs,
     cache: &SimCache,
     context: &SimContext,
-    parallel: bool,
 ) -> Result<RequestProfile, String> {
     let spec = &request.instances[instance];
     let mut cfg = spec.config()?;
@@ -118,13 +118,10 @@ fn profile_one(
     cfg.dram = request.dram.unwrap_or_default().config();
     cfg.model_dram = true;
     // A profile is per-layer cycles and DRAM traffic: no activations.
-    let mut options = RunOptions::new()
+    let options = RunOptions::new()
         .timing_only()
         .with_context(context.clone())
         .with_cache(cache.clone());
-    if parallel {
-        options = options.parallel();
-    }
     let run = run_model_simulated_with(
         &inputs.model,
         &inputs.params,
@@ -182,7 +179,7 @@ pub fn build_profiles(
             let mut out = Vec::with_capacity(instances * models);
             for i in 0..instances {
                 for set in &inputs {
-                    out.push(profile_one(request, i, set, cache, &context, false)?);
+                    out.push(profile_one(request, i, set, cache, &context)?);
                 }
             }
             out
@@ -197,7 +194,7 @@ pub fn build_profiles(
                     let context = context.clone();
                     move || {
                         let set = &inputs[k % models];
-                        profile_one(&request, k / models, set, &cache, &context, true)
+                        profile_one(&request, k / models, set, &cache, &context)
                     }
                 })
                 .collect();

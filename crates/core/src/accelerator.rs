@@ -220,14 +220,12 @@ impl Stonne {
     /// estimate over `features` (never memoized; the closure also names
     /// the multiplier count the record reports), without a cache it
     /// always runs, a cache hit on `key` reuses the memoized record, and a
-    /// miss runs `walk` and memoizes the result together with the
-    /// mapper's `input_stationary` choice. The output is not this
+    /// miss runs `walk` and memoizes the result. The output is not this
     /// function's business: every caller computes it by the engine's
     /// `functional` half, so all four outcomes yield the same bits.
     fn accounting(
         &self,
         name: &str,
-        input_stationary: bool,
         features: impl FnOnce() -> (LayerFeatures, u64),
         key: impl FnOnce() -> CacheKey,
         walk: impl FnOnce() -> Accounting,
@@ -255,8 +253,7 @@ impl Stonne {
         if let Some((cache, key)) = miss {
             stats.sim_cache_misses = 1;
             stats.sim_cache_inserts = 1;
-            let entry = CacheEntry::new(name, &stats, &iterations, input_stationary);
-            cache.insert(key, entry);
+            cache.insert(key, CacheEntry::new(name, &stats, &iterations));
         }
         (stats, iterations)
     }
@@ -265,7 +262,6 @@ impl Stonne {
     fn systolic_layer(&self, name: &str, m: usize, n: usize, k: usize) -> SimStats {
         let record = self.accounting(
             name,
-            false,
             || with_macs(LayerFeatures::systolic(&self.config, m, n, k)),
             || CacheKey::systolic(&self.cfg, m, n, k),
             || plain(systolic::accounting(&self.config, name, m, n, k)),
@@ -278,7 +274,6 @@ impl Stonne {
         let (config, sim) = (&self.config, &self.context);
         let record = self.accounting(
             name,
-            false,
             || with_macs(LayerFeatures::dense(config, layer, tile, addrs)),
             || CacheKey::dense(&self.cfg, layer, tile, addrs),
             || plain(flexible::accounting(config, name, layer, tile, addrs, sim)),
@@ -301,7 +296,6 @@ impl Stonne {
         let plan = sparse::Plan::new(config, a, n, schedule);
         let record = self.accounting(
             name,
-            plan.input_stationary(),
             || with_macs(LayerFeatures::spmm(config, a, n, b, schedule)),
             || CacheKey::spmm(config, &self.cfg, a, n, b, schedule),
             || sparse::accounting(config, name, &plan, n, b),
@@ -821,7 +815,6 @@ impl Stonne {
         let outputs = n * c * ((h - window) / stride + 1) * ((w - window) / stride + 1);
         let (stats, _) = self.accounting(
             name,
-            false,
             // Pool performs comparisons, not MACs: the multiplier counter
             // stays 0 like the engine's.
             || (LayerFeatures::pool(&self.config, shape, window, stride), 0),

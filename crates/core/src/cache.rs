@@ -266,19 +266,10 @@ pub(crate) struct CacheEntry {
     suffix: String,
     /// Packing info of sparse runs (empty otherwise).
     iterations: Vec<IterationInfo>,
-    /// Whether the sparse mapper chose the GEMV input-stationary mode
-    /// (persisted with the entry; no reader — the run's own packing plan
-    /// re-derives the choice).
-    input_stationary: bool,
 }
 
 impl CacheEntry {
-    pub(crate) fn new(
-        name: &str,
-        stats: &SimStats,
-        iterations: &[IterationInfo],
-        input_stationary: bool,
-    ) -> Self {
+    pub(crate) fn new(name: &str, stats: &SimStats, iterations: &[IterationInfo]) -> Self {
         let suffix = stats
             .operation
             .strip_prefix(name)
@@ -293,7 +284,6 @@ impl CacheEntry {
             stats,
             suffix,
             iterations: iterations.to_vec(),
-            input_stationary,
         }
     }
 

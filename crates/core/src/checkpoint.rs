@@ -19,7 +19,10 @@
 //! * `fingerprint` — the writing build's [`crate::code_fingerprint`],
 //!   so a checkpoint never resumes under changed simulation code;
 //! * `config` — the accelerator's `key = value` configuration string
-//!   ([`crate::AcceleratorConfig::to_cfg_string`]);
+//!   ([`crate::AcceleratorConfig::to_cfg_string`]), to which the
+//!   `stonne-nn` runner appends a `run = <hash>` line over the model
+//!   graph, weights, input and schedule, so a checkpoint only ever
+//!   resumes the run that wrote it;
 //! * `boundary` / `next_node` — completed layer boundaries and the
 //!   graph node execution resumes at;
 //! * `stats` — the per-layer [`SimStats`] history so far;
@@ -126,7 +129,7 @@ pub enum CheckpointError {
     /// The file is not valid checkpoint JSON (truncated, corrupt).
     Corrupt(String),
     /// The file parsed but belongs to a different schema, build
-    /// fingerprint, or accelerator configuration.
+    /// fingerprint, accelerator configuration or run.
     Mismatch(String),
 }
 
@@ -150,7 +153,8 @@ pub struct Checkpoint {
     pub schema: String,
     /// The writing build's code fingerprint.
     pub fingerprint: String,
-    /// The accelerator's `key = value` configuration string.
+    /// The accelerator's `key = value` configuration string, plus
+    /// whatever the writer appends to bind the file to its run.
     pub config: String,
     /// Completed layer boundaries (offloaded operations finished).
     pub boundary: usize,
@@ -229,7 +233,7 @@ impl Checkpoint {
         }
         if ckpt.config != config {
             return Err(CheckpointError::Mismatch(
-                "accelerator configuration differs".to_owned(),
+                "accelerator configuration or run differs".to_owned(),
             ));
         }
         Ok(ckpt)

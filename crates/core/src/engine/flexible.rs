@@ -946,7 +946,7 @@ mod tests {
     }
 
     #[test]
-    fn intra_layer_parallel_is_bitwise_identical_to_serial() {
+    fn intra_tile_parallel_is_bitwise_identical_to_serial() {
         // The disjoint-tile invariant: fanning k-chunks across workers
         // must reproduce the serial walk exactly — same output bits, same
         // cycles, same counters, same breakdown.

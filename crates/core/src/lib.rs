@@ -53,7 +53,6 @@
 //! * [`stats`] / [`output`] — activity counters, JSON summary, counter
 //!   file, Chrome-trace timeline export.
 //! * [`trace`] — zero-overhead-when-disabled cycle-level span recording.
-//! * [`fifo`] — bounded FIFOs with activity accounting.
 
 #![warn(missing_docs)]
 
@@ -64,7 +63,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod context;
 pub mod engine;
-pub mod fifo;
 pub mod mapping;
 pub mod networks;
 pub mod output;

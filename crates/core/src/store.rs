@@ -510,7 +510,7 @@ mod tests {
             cycles,
             ..SimStats::default()
         };
-        CacheEntry::new("op", &stats, &[], false)
+        CacheEntry::new("op", &stats, &[])
     }
 
     #[test]

@@ -67,7 +67,6 @@ impl Backend for ReferenceBackend {
 pub struct SimBackend {
     sim: Stonne,
     schedule: Arc<dyn RowSchedule + Send + Sync>,
-    offload_pooling: bool,
 }
 
 impl std::fmt::Debug for SimBackend {
@@ -75,7 +74,6 @@ impl std::fmt::Debug for SimBackend {
         f.debug_struct("SimBackend")
             .field("accelerator", &self.sim.config().name)
             .field("schedule", &self.schedule.name())
-            .field("offload_pooling", &self.offload_pooling)
             .finish()
     }
 }
@@ -86,20 +84,12 @@ impl SimBackend {
         Self {
             sim,
             schedule: Arc::new(NaturalOrder),
-            offload_pooling: true,
         }
     }
 
     /// Sets the filter schedule used on sparse configurations.
     pub fn with_schedule(mut self, schedule: Arc<dyn RowSchedule + Send + Sync>) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Chooses whether pooling offloads to the accelerator (default) or
-    /// runs natively.
-    pub fn with_pooling_offload(mut self, offload: bool) -> Self {
-        self.offload_pooling = offload;
         self
     }
 
@@ -148,12 +138,7 @@ impl Backend for SimBackend {
     }
 
     fn maxpool(&mut self, name: &str, input: &Tensor4, window: usize, stride: usize) -> Tensor4 {
-        if self.offload_pooling {
-            let (out, _) = self.sim.run_maxpool(name, input, window, stride);
-            out
-        } else {
-            maxpool2d_reference(input, window, stride)
-        }
+        self.sim.run_maxpool(name, input, window, stride).0
     }
 }
 
@@ -188,18 +173,5 @@ mod tests {
         let mut r = ReferenceBackend;
         let out = r.linear("fc", &input, &weights);
         assert_eq!((out.rows(), out.cols()), (2, 5));
-    }
-
-    #[test]
-    fn pooling_can_run_natively() {
-        let mut rng = SeededRng::new(3);
-        let input = Tensor4::random(1, 2, 4, 4, &mut rng);
-        let sim = Stonne::new(AcceleratorConfig::maeri_like(32, 8)).unwrap();
-        let mut s = SimBackend::new(sim).with_pooling_offload(false);
-        s.maxpool("p", &input, 2, 2);
-        assert!(
-            s.layer_stats().is_empty(),
-            "native pooling must not offload"
-        );
     }
 }

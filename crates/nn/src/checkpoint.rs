@@ -15,24 +15,25 @@
 //! Every checkpoint carries a [`StateHash`] over the canonical state
 //! bytes; the loader recomputes it and rejects any file that drifted
 //! (bit-rot, tampering, a non-deterministic producer), falling back to
-//! the previous boundary or a clean start. Checkpointed runs execute
-//! sequentially (wave-parallel dispatch has no layer-boundary order);
-//! intra-layer tile parallelism composes fine, since it is
-//! bitwise-identical to serial execution by construction.
+//! the previous boundary or a clean start. A checkpoint is also bound to
+//! its run: the signature compared on load is the accelerator's
+//! configuration string plus a hash of the model graph, the weights, the
+//! input and the schedule's cache token, so a directory written by
+//! another run is skipped like any other invalid file.
+//!
+//! There is no checkpoint runner: `Checkpoints` is what the one walk of
+//! [`crate::runner::run_model_simulated_with`] calls at its layer
+//! boundaries. [`RunOptions::parallel`] composes, since the intra-layer
+//! fan-out is bitwise-identical to serial execution by construction.
 
-use crate::backend::SimBackend;
-use crate::executor::{execute_node, is_offloaded_op};
-use crate::params::ModelParams;
+use crate::params::{ModelParams, NodeWeights};
 use crate::runner::{ModelRun, RunOptions};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
-use std::sync::Arc;
 use stonne_core::{
-    code_fingerprint, AcceleratorConfig, Checkpoint, ConfigError, RowSchedule, SimCache, SimStats,
-    StateHash, Stonne, CHECKPOINT_SCHEMA,
+    code_fingerprint, AcceleratorConfig, Checkpoint, RowSchedule, SimStats, StateHash,
+    CHECKPOINT_SCHEMA,
 };
-use stonne_energy::EnergyModel;
 use stonne_models::ModelSpec;
 use stonne_tensor::{Matrix, Tensor4};
 
@@ -94,34 +95,32 @@ struct RunPayload {
 
 /// A [`SimStats`] clone with the host counters zeroed
 /// ([`SimStats::clear_host_counters`]): they depend on *how* a result
-/// was obtained (cached, parallel, resumed), not on what the simulated
-/// hardware did, so the state hash excludes them — which is exactly what
-/// makes the hash stable across the serial, wave-parallel and intra-tile
-/// runners.
+/// was obtained (cached, resumed), not on what the simulated hardware
+/// did, so the state hash excludes them.
 fn canonical_stats(s: &SimStats) -> SimStats {
     let mut s = s.clone();
     s.clear_host_counters();
     s
 }
 
+/// Absorbs one tensor: a tag, its dimensions and exact element bits.
+fn hash_elems(h: &mut StateHash, tag: u64, dims: &[usize], elems: &[f32]) {
+    h.update_u64(tag);
+    for &d in dims {
+        h.update_u64(d as u64);
+    }
+    for &x in elems {
+        h.update_u32(x.to_bits());
+    }
+}
+
 fn hash_value(h: &mut StateHash, v: &Value) {
     match v {
         Value::Feature(t) => {
             let (n, c, hh, w) = t.shape();
-            h.update_u64(0);
-            for d in [n, c, hh, w] {
-                h.update_u64(d as u64);
-            }
+            hash_elems(h, 0, &[n, c, hh, w], t.as_slice());
         }
-        Value::Tokens(m) => {
-            h.update_u64(1);
-            for d in [m.rows(), m.cols()] {
-                h.update_u64(d as u64);
-            }
-        }
-    }
-    for &x in v.as_slice() {
-        h.update_u32(x.to_bits());
+        Value::Tokens(m) => hash_elems(h, 1, &[m.rows(), m.cols()], m.as_slice()),
     }
 }
 
@@ -151,177 +150,142 @@ pub(crate) fn run_state_hash(run: &ModelRun) -> u64 {
     state_hash_of(&run.outputs, &stats, "")
 }
 
-/// Restores the newest checkpoint in `dir` whose recomputed state hash
-/// matches — skipping (with a stderr note) truncated, mismatched or
-/// tampered files, which is the healing path. Returns the decoded
-/// values, the stats history, the boundary count, the resume node, and
-/// the cache snapshot.
-#[allow(clippy::type_complexity)]
-fn restore_latest(
-    dir: &Path,
-    fingerprint: &str,
-    config_sig: &str,
-) -> Option<(Vec<Value>, Vec<SimStats>, usize, usize, String)> {
-    let ckpt = Checkpoint::latest_valid(
-        dir,
-        fingerprint,
-        config_sig,
-        |c| match serde_json::from_str::<RunPayload>(&c.payload) {
-            Ok(payload) => {
-                let Ok(values) = payload
-                    .values
-                    .iter()
-                    .map(decode_value)
-                    .collect::<Result<Vec<Value>, String>>()
-                else {
-                    return false;
-                };
-                state_hash_of(&values, &c.stats, &payload.cache) == c.state_hash
-            }
-            Err(_) => false,
-        },
-    )?;
-    let payload: RunPayload = serde_json::from_str(&ckpt.payload).expect("validated above");
-    let values: Vec<Value> = payload
-        .values
-        .iter()
-        .map(decode_value)
-        .collect::<Result<_, _>>()
-        .expect("validated above");
-    Some((
-        values,
-        ckpt.stats,
-        ckpt.boundary,
-        ckpt.next_node,
-        payload.cache,
-    ))
-}
-
-/// Writes one checkpoint (best-effort: failures log to stderr and the
-/// run continues — checkpointing must never abort a healthy run).
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint(
-    dir: &Path,
-    fingerprint: &str,
-    config_sig: &str,
-    boundary: usize,
-    next_node: usize,
-    values: &[Value],
-    stats: Vec<SimStats>,
-    cache: Option<&SimCache>,
-) {
-    let payload = RunPayload {
-        values: values.iter().map(encode_value).collect(),
-        cache: cache.map(SimCache::export_json).unwrap_or_default(),
-    };
-    let state_hash = state_hash_of(values, &stats, &payload.cache);
-    let ckpt = Checkpoint {
-        schema: CHECKPOINT_SCHEMA.to_owned(),
-        fingerprint: fingerprint.to_owned(),
-        config: config_sig.to_owned(),
-        boundary,
-        next_node,
-        stats,
-        cache_signatures: cache.map(SimCache::key_signatures).unwrap_or_default(),
-        state_hash,
-        payload: serde_json::to_string(&payload).expect("payload serializes"),
-    };
-    if let Err(e) = ckpt.save(dir) {
-        eprintln!(
-            "stonne-nn: failed to checkpoint boundary {boundary} into {}: {e}",
-            dir.display()
-        );
-    }
-}
-
-/// The checkpoint/resume path of
-/// [`crate::runner::run_model_simulated_with`]: a sequential graph walk
-/// that snapshots at layer boundaries and/or restarts from the newest
-/// valid snapshot. See the module docs for the determinism argument.
-pub(crate) fn run_checkpointed(
+/// What a checkpoint is compared against on load besides the build: the
+/// accelerator's configuration string extended by a hash binding the file
+/// to its run — model graph, weights, input and schedule (exact bits).
+fn run_signature(
     model: &ModelSpec,
     params: &ModelParams,
     input: &Value,
-    config: AcceleratorConfig,
-    schedule: Arc<dyn RowSchedule + Send + Sync>,
-    options: &RunOptions,
-    energy_model: EnergyModel,
-) -> Result<ModelRun, ConfigError> {
-    // Validate the configuration before touching any checkpoint state.
-    drop(Stonne::new(config.clone())?);
-    model
-        .infer_shapes()
-        .unwrap_or_else(|e| panic!("invalid graph: {e}"));
-    let fingerprint = code_fingerprint();
-    let config_sig = config.to_cfg_string();
-    let ms_size = config.ms_size;
-    let cache = options.cache_handle().cloned();
+    config: &AcceleratorConfig,
+    schedule: &dyn RowSchedule,
+) -> String {
+    let mut h = StateHash::new();
+    // The whole configuration: its `key = value` string leaves the DRAM
+    // model out.
+    h.update_str(&serde_json::to_string(config).expect("config serializes"));
+    h.update_str(&serde_json::to_string(model).expect("model serializes"));
+    for id in 0..model.nodes().len() {
+        let weights = match params.get(id) {
+            Some(NodeWeights::Conv(t)) => t.as_slice(),
+            Some(NodeWeights::Linear(m)) => m.as_slice(),
+            None => continue,
+        };
+        hash_elems(&mut h, id as u64, &[weights.len()], weights);
+    }
+    hash_value(&mut h, input);
+    h.update_str(&schedule.cache_token());
+    format!("{}run = {:016x}\n", config.to_cfg_string(), h.finish())
+}
 
-    let mut values: Vec<Value> = Vec::with_capacity(model.nodes().len());
-    let mut restored_stats: Vec<SimStats> = Vec::new();
-    let mut boundary = 0usize;
-    let mut start = 0usize;
-    if let Some(dir) = options.resume_dir() {
-        if let Some((vals, stats, b, next, cache_snapshot)) =
-            restore_latest(dir, fingerprint, &config_sig)
-        {
-            if let (Some(cache), false) = (&cache, cache_snapshot.is_empty()) {
-                cache
-                    .import_json(&cache_snapshot)
-                    .expect("snapshot validated by state hash");
-            }
-            values = vals;
-            restored_stats = stats;
-            boundary = b;
-            start = next;
+/// The checkpoint side of one run, called by the runner's walk at its
+/// layer boundaries: restores the newest valid snapshot when resuming and
+/// writes one every `every` boundaries when checkpointing.
+pub(crate) struct Checkpoints<'a> {
+    options: &'a RunOptions,
+    signature: String,
+    /// Completed layer boundaries (restored ones included).
+    boundary: usize,
+    /// Statistics history of the restored prefix.
+    restored: Vec<SimStats>,
+}
+
+impl<'a> Checkpoints<'a> {
+    /// Binds to the run and, when `options` resume, restores the newest
+    /// checkpoint of that run whose recomputed state hash matches —
+    /// skipping (with a stderr note) truncated, mismatched, tampered or
+    /// foreign files, which is the healing path. Returns the restored
+    /// node values (empty on a clean start); the cache snapshot that
+    /// travelled with them is imported into the run's cache.
+    pub(crate) fn open(
+        model: &ModelSpec,
+        params: &ModelParams,
+        input: &Value,
+        config: &AcceleratorConfig,
+        schedule: &dyn RowSchedule,
+        options: &'a RunOptions,
+    ) -> (Self, Vec<Value>) {
+        let signature = run_signature(model, params, input, config, schedule);
+        let mut payload = None;
+        let ckpt = options.resume_dir().and_then(|dir| {
+            Checkpoint::latest_valid(dir, code_fingerprint(), &signature, |c| {
+                payload = decode_payload(c);
+                payload.is_some()
+            })
+        });
+        let (values, cache_snapshot) = payload.unwrap_or_default();
+        if let (Some(cache), false) = (options.cache_handle(), cache_snapshot.is_empty()) {
+            cache
+                .import_json(&cache_snapshot)
+                .expect("snapshot validated by state hash");
+        }
+        let (boundary, restored) = ckpt.map(|c| (c.boundary, c.stats)).unwrap_or_default();
+        let this = Self {
+            options,
+            signature,
+            boundary,
+            restored,
+        };
+        (this, values)
+    }
+
+    /// One more offloaded operation finished: `values` are all node values
+    /// so far, `fresh` the statistics recorded since the run (re)started.
+    /// Writing is best-effort — failures log to stderr and the run
+    /// continues, since checkpointing must never abort a healthy run.
+    pub(crate) fn layer_done(&mut self, values: &[Value], fresh: &[SimStats]) {
+        self.boundary += 1;
+        let Some((every, dir)) = self.options.checkpoint_policy() else {
+            return;
+        };
+        if self.boundary % every != 0 {
+            return;
+        }
+        let cache = self.options.cache_handle();
+        let payload = RunPayload {
+            values: values.iter().map(encode_value).collect(),
+            cache: cache.map(|c| c.export_json()).unwrap_or_default(),
+        };
+        let stats = self.stats_with(fresh);
+        let ckpt = Checkpoint {
+            schema: CHECKPOINT_SCHEMA.to_owned(),
+            fingerprint: code_fingerprint().to_owned(),
+            config: self.signature.clone(),
+            boundary: self.boundary,
+            next_node: values.len(),
+            state_hash: state_hash_of(values, &stats, &payload.cache),
+            stats,
+            cache_signatures: cache.map(|c| c.key_signatures()).unwrap_or_default(),
+            payload: serde_json::to_string(&payload).expect("payload serializes"),
+        };
+        if let Err(e) = ckpt.save(dir) {
+            eprintln!(
+                "stonne-nn: failed to checkpoint boundary {} into {}: {e}",
+                self.boundary,
+                dir.display()
+            );
         }
     }
 
-    let mut sim = Stonne::new(config)?
-        .with_intra_tiles(options.intra_worker_budget())
-        .with_context(options.run_context());
-    if let Some(cache) = cache.clone() {
-        sim = sim.with_cache(cache);
+    /// The run's whole statistics history: the restored prefix, then `fresh`.
+    pub(crate) fn stats_with(&self, fresh: &[SimStats]) -> Vec<SimStats> {
+        [self.restored.as_slice(), fresh].concat()
     }
-    let mut backend = SimBackend::new(sim).with_schedule(schedule);
-    for id in start..model.nodes().len() {
-        let ins: Vec<&Value> = model.nodes()[id]
-            .inputs
-            .iter()
-            .map(|&i| &values[i])
-            .collect();
-        let out = execute_node(model, id, params, input, &ins, &mut backend);
-        values.push(out);
-        if !is_offloaded_op(&model.nodes()[id].op) {
-            continue;
-        }
-        boundary += 1;
-        if let Some((every, dir)) = options.checkpoint_policy() {
-            if boundary % every == 0 {
-                let mut stats = restored_stats.clone();
-                stats.extend_from_slice(backend.layer_stats());
-                write_checkpoint(
-                    dir,
-                    fingerprint,
-                    &config_sig,
-                    boundary,
-                    id + 1,
-                    &values,
-                    stats,
-                    cache.as_ref(),
-                );
-            }
-        }
-    }
+}
 
-    let mut all_stats = restored_stats;
-    all_stats.extend_from_slice(backend.into_sim().history());
-    Ok(ModelRun::assemble(
-        values,
-        all_stats,
-        ms_size,
-        &energy_model,
-    ))
+/// Decodes a checkpoint's node values and cache snapshot; `None` unless the
+/// payload parses and the recomputed state hash matches the recorded one.
+fn decode_payload(ckpt: &Checkpoint) -> Option<(Vec<Value>, String)> {
+    let payload: RunPayload = serde_json::from_str(&ckpt.payload).ok()?;
+    let values = payload
+        .values
+        .iter()
+        .map(decode_value)
+        .collect::<Result<Vec<Value>, String>>()
+        .ok()?;
+    (values.len() == ckpt.next_node
+        && state_hash_of(&values, &ckpt.stats, &payload.cache) == ckpt.state_hash)
+        .then_some((values, payload.cache))
 }
 
 #[cfg(test)]

@@ -39,8 +39,9 @@ pub fn execute_graph<B: Backend>(
 }
 
 /// Executes a single node given the values of its inputs (`inputs[i]` is
-/// the value of `node.inputs[i]`). Extracted from [`execute_graph`] so the
-/// parallel runner can dispatch ready nodes independently.
+/// the value of `node.inputs[i]`): the step shared by [`execute_graph`] and
+/// the simulated runner's walk, which resumes mid-graph and snapshots at
+/// layer boundaries.
 ///
 /// # Panics
 ///
@@ -146,8 +147,8 @@ pub(crate) fn time_graph(
     }
 }
 
-/// Whether an op offloads work to the backend (and therefore benefits
-/// from running on its own simulator instance in the parallel runner).
+/// Whether an op offloads work to the backend: finishing one is a layer
+/// boundary of the run.
 pub(crate) fn is_offloaded_op(op: &OpSpec) -> bool {
     matches!(
         op,

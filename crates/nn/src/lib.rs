@@ -17,16 +17,20 @@
 //!   multi-head attention whose inner matmuls go through the backend.
 //! * [`runner`] — full-model inference: per-layer statistics, aggregate
 //!   cycles/energy, and functional validation against the reference.
+//!   A run is always one sequential walk over the graph around one
+//!   simulator instance — the paper's layer-by-layer offload.
 //!   [`RunOptions`] controls layer-simulation memoization (on by default;
-//!   see [`stonne_core::SimCache`]), independent-layer parallelism,
-//!   checkpoint/resume (`checkpoint_every` / `resume_from`), and whether
-//!   activations are computed at all (`timing_only`: statistics from
-//!   shapes, for callers that never read an output).
+//!   see [`stonne_core::SimCache`]), host parallelism *inside* a layer
+//!   (`parallel`), checkpoint/resume (`checkpoint_every` / `resume_from`,
+//!   hooks of the same walk), and whether activations are computed at all
+//!   (`timing_only`: statistics from shapes, for callers that never read
+//!   an output).
 //! * [`checkpoint`] — deterministic snapshot/resume at layer boundaries:
 //!   interrupted runs restart at the last boundary and finish
-//!   bitwise-identical to uninterrupted ones, guarded by a state hash.
-//! * [`parallel`] — the bounded worker pool behind the parallel runner
-//!   and the bench-harness figure sweeps.
+//!   bitwise-identical to uninterrupted ones, guarded by a state hash and
+//!   bound to their run (model, weights, input, schedule, configuration).
+//! * [`parallel`] — the bounded worker pool that fans whole runs out:
+//!   the bench-harness figure sweeps and the cluster profiler.
 //!
 //! # Example
 //!

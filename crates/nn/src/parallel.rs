@@ -1,8 +1,10 @@
 //! A bounded worker pool for independent simulation tasks.
 //!
-//! Lives in the front-end crate so both the parallel full-model runner
-//! ([`crate::runner`]) and the figure sweeps of the bench crate share one
-//! implementation (the bench crate re-exports it).
+//! Fans whole *runs* out — the figure sweeps of the bench crate (which
+//! re-exports it) and the cluster profiler's `ExecMode::Pool`. A single
+//! model run never uses it: [`crate::runner`] walks the graph
+//! sequentially and [`crate::RunOptions::parallel`] parallelises inside a
+//! layer.
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};

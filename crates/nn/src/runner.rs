@@ -3,8 +3,8 @@
 //! validation.
 
 use crate::backend::{ReferenceBackend, SimBackend};
+use crate::checkpoint::Checkpoints;
 use crate::executor::{execute_graph, execute_node, is_offloaded_op, time_graph};
-use crate::parallel::run_parallel;
 use crate::params::ModelParams;
 use crate::value::Value;
 use std::path::{Path, PathBuf};
@@ -50,9 +50,8 @@ pub struct ModelRun {
 
 impl ModelRun {
     /// Assembles a run from its node values and the statistics of its
-    /// offloaded operations in execution order — the one tail shared by
-    /// the sequential, wave-parallel, checkpointed and timing-only paths.
-    pub(crate) fn assemble(
+    /// offloaded operations in execution order.
+    fn assemble(
         outputs: Vec<Value>,
         stats: Vec<SimStats>,
         ms_size: usize,
@@ -113,27 +112,25 @@ impl ModelRun {
     /// volatile counters (cache hits/misses/inserts, engine
     /// invocations) zeroed. Two runs of the same model/config agree on
     /// this hash exactly when they agree bitwise on outputs and
-    /// hardware-level stats — across the serial, wave-parallel and
-    /// intra-tile runners, and across straight, checkpointed and
-    /// resumed executions.
+    /// hardware-level stats — serial or [`RunOptions::parallel`],
+    /// straight, checkpointed or resumed.
     pub fn state_hash(&self) -> u64 {
         crate::checkpoint::run_state_hash(self)
     }
 }
 
-/// Knobs of a simulated full-model run: layer-simulation memoization and
-/// independent-layer parallelism.
+/// Knobs of a simulated full-model run: layer-simulation memoization,
+/// host parallelism, checkpointing, fidelity.
 ///
 /// The default enables a fresh [`SimCache`] (repeated layer shapes — e.g.
 /// BERT's 12 identical encoders — simulate once and replay bitwise
-/// identically) and runs layers sequentially. Cached and uncached runs
-/// produce identical cycle counts and outputs; disabling the cache only
-/// trades time for memory.
+/// identically) and computes on the calling thread. Every run walks the
+/// graph layer by layer; cached and uncached runs produce identical cycle
+/// counts and outputs; disabling the cache only trades time for memory.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     cache: Option<SimCache>,
     parallel: bool,
-    intra_tiles: bool,
     checkpoint: Option<(usize, PathBuf)>,
     resume: Option<PathBuf>,
     predictor: Option<Arc<dyn CyclePredictor>>,
@@ -146,7 +143,6 @@ impl Default for RunOptions {
         Self {
             cache: Some(SimCache::new()),
             parallel: false,
-            intra_tiles: false,
             checkpoint: None,
             resume: None,
             predictor: None,
@@ -157,7 +153,7 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// The default options: a fresh per-run cache, sequential execution.
+    /// The default options: a fresh per-run cache, one host thread.
     pub fn new() -> Self {
         Self::default()
     }
@@ -186,8 +182,8 @@ impl RunOptions {
         self.cache.as_ref()
     }
 
-    /// Asks for statistics only: one sequential walk accounts every layer
-    /// from shapes (and the weights' zero patterns), no activation is
+    /// Asks for statistics only: the walk accounts every layer from
+    /// shapes (and the weights' zero patterns), no activation is
     /// computed and [`ModelRun::outputs`] comes back empty; `layers`,
     /// `total`, `energy` and every layer-cache entry written are exactly
     /// the full run's. Where timing depends on activation values
@@ -199,35 +195,23 @@ impl RunOptions {
         self
     }
 
-    /// Dispatches independent ready layers (BERT's q/k/v projections,
-    /// SqueezeNet's fire branches) across a worker pool. Per-layer and
-    /// aggregate statistics are identical to a sequential run; layer
-    /// reports stay in graph (node-index) order.
+    /// Uses the host's cores: the flexible engine fans the independent
+    /// filter chunks *inside* each dense layer across a worker pool (see
+    /// `docs/PERFORMANCE.md` for the disjoint-tile invariant) while layers
+    /// still run one after another. Outputs, statistics and traces are
+    /// bitwise-identical to a serial run; composes with every other
+    /// option.
     #[must_use]
     pub fn parallel(mut self) -> Self {
         self.parallel = true;
         self
     }
 
-    /// Fans the independent k-chunk tiles *inside* each dense layer
-    /// across the worker pool (see `docs/PERFORMANCE.md` for the
-    /// disjoint-tile invariant). Outputs, cycles, and statistics are
-    /// bitwise-identical to a serial run; composes with
-    /// [`RunOptions::parallel`] and the cache.
-    #[must_use]
-    pub fn intra_layer_parallel(mut self) -> Self {
-        self.intra_tiles = true;
-        self
-    }
-
     /// Snapshots the run into `dir` every `every` layer boundaries (an
     /// offloaded operation finishing is a boundary; `every` is clamped
-    /// to ≥ 1). Checkpointed runs execute sequentially — the layer
-    /// boundary order that defines a snapshot has no meaning under
-    /// wave-parallel dispatch — but compose with the cache and with
-    /// [`RunOptions::intra_layer_parallel`], and the snapshots do not
-    /// perturb the run: outputs, stats and traces are bitwise-identical
-    /// to a run without checkpointing. See [`crate::checkpoint`].
+    /// to ≥ 1). The snapshots do not perturb the run: outputs, stats and
+    /// traces are bitwise-identical to a run without checkpointing. See
+    /// [`crate::checkpoint`].
     #[must_use]
     pub fn checkpoint_every(mut self, every: usize, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some((every.max(1), dir.into()));
@@ -236,11 +220,12 @@ impl RunOptions {
 
     /// Resumes from the newest valid checkpoint in `dir` (written by a
     /// prior [`RunOptions::checkpoint_every`] run of the same model,
-    /// configuration and build), restarting at its layer boundary. A
-    /// truncated or hash-mismatched checkpoint is skipped in favor of
-    /// the boundary before it; with no valid checkpoint the run starts
-    /// clean. The resumed run's outputs, stats and energy are
-    /// bitwise-identical to an uninterrupted run.
+    /// weights, input, schedule, configuration and build), restarting at
+    /// its layer boundary. A truncated or hash-mismatched checkpoint is
+    /// skipped in favor of the boundary before it, as is one written by
+    /// any other run; with no valid checkpoint the run starts clean. The
+    /// resumed run's outputs, stats and energy are bitwise-identical to an
+    /// uninterrupted run.
     #[must_use]
     pub fn resume_from(mut self, dir: impl Into<PathBuf>) -> Self {
         self.resume = Some(dir.into());
@@ -272,8 +257,7 @@ impl RunOptions {
     /// scratch buffers survive across runs that share it (e.g. every
     /// sweep point of a worker), and [`SimContext::disabled`] selects the
     /// flexible engine's plain per-chunk walk. Without this, each run
-    /// creates one context and shares it across all of its own simulator
-    /// instances. Contexts never change results.
+    /// creates its own. Contexts never change results.
     #[must_use]
     pub fn with_context(mut self, context: SimContext) -> Self {
         self.context = Some(context);
@@ -283,12 +267,6 @@ impl RunOptions {
     /// The simulation context these options run with, if explicitly set.
     pub fn context_handle(&self) -> Option<&SimContext> {
         self.context.as_ref()
-    }
-
-    /// The context threaded through this run's simulator instances: the
-    /// explicit one when set, else a fresh per-run context.
-    pub(crate) fn run_context(&self) -> SimContext {
-        self.context.clone().unwrap_or_default()
     }
 
     /// The checkpoint cadence and directory, when enabled.
@@ -304,9 +282,9 @@ impl RunOptions {
     }
 
     /// Worker budget handed to [`Stonne::with_intra_tiles`]: the host's
-    /// available parallelism when intra-layer tiling is on, else 1.
-    pub(crate) fn intra_worker_budget(&self) -> usize {
-        if self.intra_tiles {
+    /// available parallelism under [`RunOptions::parallel`], else 1.
+    fn worker_budget(&self) -> usize {
+        if self.parallel {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
@@ -384,8 +362,11 @@ pub fn run_model_simulated_scheduled(
     )
 }
 
-/// Runs a model on a simulated accelerator with explicit [`RunOptions`]
-/// (cache sharing/disabling, independent-layer parallelism).
+/// Runs a model on a simulated accelerator with explicit [`RunOptions`]:
+/// one simulator instance, one walk over the graph in node order — over
+/// shapes when only timing is asked for, else over values, node by node,
+/// starting after a restored prefix and snapshotting at layer boundaries
+/// when the options checkpoint.
 ///
 /// # Errors
 ///
@@ -399,192 +380,52 @@ pub fn run_model_simulated_with(
     options: RunOptions,
 ) -> Result<ModelRun, ConfigError> {
     let energy_model = EnergyModel::for_config(&config);
-    if options.checkpoint.is_some() || options.resume.is_some() {
-        return crate::checkpoint::run_checkpointed(
-            model,
-            params,
-            input,
-            config,
-            schedule,
-            &options,
-            energy_model,
-        );
-    }
-    let timing_only = options.timing_only && !timing_needs_values(model, &config);
-    if options.parallel && !timing_only {
-        return run_parallel_waves(
-            model,
-            params,
-            input,
-            config,
-            schedule,
-            options,
-            energy_model,
-        );
-    }
+    let ms_size = config.ms_size;
+    // A checkpoint's state hash covers the outputs and certifies
+    // cycle-level simulation: checkpointed runs compute every activation
+    // and ignore the predictor.
+    let checkpointed = options.checkpoint.is_some() || options.resume.is_some();
     let mut sim = Stonne::new(config)?
-        .with_intra_tiles(options.intra_worker_budget())
-        .with_context(options.run_context());
-    if let Some(cache) = options.cache {
+        .with_intra_tiles(options.worker_budget())
+        .with_context(options.context.clone().unwrap_or_default());
+    if let Some(cache) = options.cache.clone() {
         sim = sim.with_cache(cache);
     }
-    if let Some(predictor) = options.predictor {
+    if let Some(predictor) = options.predictor.clone().filter(|_| !checkpointed) {
         sim = sim.with_predictor(predictor);
     }
-    let outputs = if timing_only {
+    if options.timing_only && !checkpointed && !timing_needs_values(model, sim.config()) {
         time_graph(model, params, input, &mut sim, schedule.as_ref());
-        Vec::new()
-    } else {
-        let mut backend = SimBackend::new(sim).with_schedule(schedule);
-        let outputs = execute_graph(model, params, input, &mut backend);
-        sim = backend.into_sim();
-        outputs
-    };
+        let stats = sim.history().to_vec();
+        return Ok(ModelRun::assemble(
+            Vec::new(),
+            stats,
+            ms_size,
+            &energy_model,
+        ));
+    }
 
-    let ms_size = sim.config().ms_size;
-    let stats = sim.history().to_vec();
-    Ok(ModelRun::assemble(outputs, stats, ms_size, &energy_model))
-}
-
-/// The parallel path of [`run_model_simulated_with`]: executes the graph
-/// in dependency waves, dispatching the offloaded ops of each wave (each
-/// on its own simulator instance sharing the run's cache) across the
-/// worker pool of [`crate::parallel::run_parallel`]. Non-offloaded ops
-/// run inline. Per-layer statistics land in graph (node-index) order, so
-/// reports match a sequential run layer for layer.
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_waves(
-    model: &stonne_models::ModelSpec,
-    params: &ModelParams,
-    input: &Value,
-    config: AcceleratorConfig,
-    schedule: Arc<dyn RowSchedule + Send + Sync>,
-    options: RunOptions,
-    energy_model: EnergyModel,
-) -> Result<ModelRun, ConfigError> {
-    // Validate the configuration once up front; worker instances reuse it.
-    drop(Stonne::new(config.clone())?);
     model
         .infer_shapes()
         .unwrap_or_else(|e| panic!("invalid graph: {e}"));
-    let n = model.nodes().len();
-    // One context for the whole run: every per-op instance below shares
-    // its scratch pool instead of rebuilding it.
-    let context = options.run_context();
-    let mut values: Vec<Option<Value>> = vec![None; n];
-    let mut node_stats: Vec<Vec<SimStats>> = vec![Vec::new(); n];
-    let mut remaining = n;
-    while remaining > 0 {
-        let ready: Vec<usize> = (0..n)
-            .filter(|&id| {
-                values[id].is_none()
-                    && model.nodes()[id]
-                        .inputs
-                        .iter()
-                        .all(|&dep| values[dep].is_some())
-            })
-            .collect();
-        assert!(!ready.is_empty(), "graph is not a DAG");
-        let (offloaded, native): (Vec<usize>, Vec<usize>) = ready
-            .into_iter()
-            .partition(|&id| is_offloaded_op(&model.nodes()[id].op));
-        for id in native {
-            let ins: Vec<&Value> = model.nodes()[id]
-                .inputs
-                .iter()
-                .map(|&dep| values[dep].as_ref().expect("dependency ready"))
-                .collect();
-            // Native ops never touch the backend; the reference backend is
-            // a zero-state placeholder.
-            let out = execute_node(model, id, params, input, &ins, &mut ReferenceBackend);
-            values[id] = Some(out);
-            remaining -= 1;
-        }
-        if offloaded.is_empty() {
-            continue;
-        }
-        // With a cache attached, ops of one wave that can produce the
-        // same layer-cache key — same op (which fixes the weight shape)
-        // on same-shaped inputs, like BERT's Q/K/V projections — must not
-        // race for the miss: the lowest node index of each such group
-        // runs in a first pass and takes it exactly as in the sequential
-        // run, the rest fan out in a second pass and hit. Everything else
-        // (and every op of an uncached run) is in the first pass. The
-        // grouping is a stand-in for `CacheKey` equality, which only
-        // `stonne-core` can decide: ops it keeps apart can still share a
-        // key (on the systolic engine the key is just M, N, K).
-        let input_values = |id: usize| -> Vec<&Value> {
-            model.nodes()[id]
-                .inputs
-                .iter()
-                .map(|&dep| values[dep].as_ref().expect("dependency ready"))
-                .collect()
-        };
-        let same_key = |a: usize, b: usize| {
-            options.cache.is_some()
-                && model.nodes()[a].op == model.nodes()[b].op
-                && input_values(a)
-                    .iter()
-                    .map(|v| v.shape())
-                    .eq(input_values(b).iter().map(|v| v.shape()))
-        };
-        let (mut leaders, mut followers) = (Vec::new(), Vec::new());
-        for &id in &offloaded {
-            if leaders.iter().any(|&leader| same_key(leader, id)) {
-                followers.push(id);
-            } else {
-                leaders.push(id);
-            }
-        }
-        let mut done = Vec::with_capacity(offloaded.len());
-        for pass in [leaders, followers] {
-            let tasks: Vec<_> = pass
-                .iter()
-                .map(|&id| {
-                    let ins = input_values(id);
-                    let config = config.clone();
-                    let schedule = Arc::clone(&schedule);
-                    let cache = options.cache.clone();
-                    let predictor = options.predictor.clone();
-                    let context = context.clone();
-                    let intra_workers = options.intra_worker_budget();
-                    move || {
-                        let mut sim = Stonne::new(config)
-                            .expect("config validated above")
-                            .with_intra_tiles(intra_workers)
-                            .with_context(context);
-                        if let Some(cache) = cache {
-                            sim = sim.with_cache(cache);
-                        }
-                        if let Some(predictor) = predictor {
-                            sim = sim.with_predictor(predictor);
-                        }
-                        let mut backend = SimBackend::new(sim).with_schedule(schedule);
-                        let out = execute_node(model, id, params, input, &ins, &mut backend);
-                        (out, backend.into_sim().history().to_vec())
-                    }
-                })
-                .collect();
-            let results = run_parallel(tasks).unwrap_or_else(|e| panic!("{e}"));
-            done.extend(pass.into_iter().zip(results));
-        }
-        for (id, (out, stats)) in done {
-            values[id] = Some(out);
-            node_stats[id] = stats;
-            remaining -= 1;
+    let (mut checkpoints, restored) = checkpointed
+        .then(|| Checkpoints::open(model, params, input, sim.config(), &*schedule, &options))
+        .unzip();
+    let mut values: Vec<Value> = restored.unwrap_or_default();
+    let mut backend = SimBackend::new(sim).with_schedule(schedule);
+    for (id, node) in model.nodes().iter().enumerate().skip(values.len()) {
+        let ins: Vec<&Value> = node.inputs.iter().map(|&i| &values[i]).collect();
+        let out = execute_node(model, id, params, input, &ins, &mut backend);
+        values.push(out);
+        if let (Some(checkpoints), true) = (&mut checkpoints, is_offloaded_op(&node.op)) {
+            checkpoints.layer_done(&values, backend.layer_stats());
         }
     }
-    let outputs: Vec<Value> = values
-        .into_iter()
-        .map(|v| v.expect("all nodes executed"))
-        .collect();
-    let stats = node_stats.into_iter().flatten().collect();
-    Ok(ModelRun::assemble(
-        outputs,
-        stats,
-        config.ms_size,
-        &energy_model,
-    ))
+    let stats = match &checkpoints {
+        Some(checkpoints) => checkpoints.stats_with(backend.layer_stats()),
+        None => backend.layer_stats().to_vec(),
+    };
+    Ok(ModelRun::assemble(values, stats, ms_size, &energy_model))
 }
 
 /// Runs a model on a simulated accelerator while recording a cycle-level
@@ -613,10 +454,10 @@ pub fn run_model_simulated_traced(
 }
 
 /// [`run_model_simulated_traced`] with explicit [`RunOptions`] — used to
-/// assert that checkpointing does not perturb the recorded timeline
-/// (checkpoint-enabled and plain runs trace byte-identically). The
-/// trace buffer is thread-local, so options should keep the run
-/// sequential ([`RunOptions::parallel`] layers trace nothing).
+/// assert that neither checkpointing nor [`RunOptions::parallel`] perturbs
+/// the recorded timeline (all three trace byte-identically: the trace
+/// buffer is thread-local and the accounting walk never leaves the
+/// calling thread).
 ///
 /// # Errors
 ///

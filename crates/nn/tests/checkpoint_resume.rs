@@ -9,7 +9,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 use stonne_core::{AcceleratorConfig, NaturalOrder};
-use stonne_models::{zoo, ModelScale};
+use stonne_models::{zoo, ModelScale, ModelSpec};
 use stonne_nn::params::{generate_input, ModelParams};
 use stonne_nn::runner::{
     run_model_simulated_traced_with, run_model_simulated_with, ModelRun, RunOptions,
@@ -22,11 +22,16 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn run_alexnet(options: RunOptions) -> ModelRun {
-    let model = zoo::alexnet(ModelScale::Tiny);
-    let params = ModelParams::generate(&model, 1);
-    let input = generate_input(&model, 2);
+    run_seeded(&zoo::alexnet(ModelScale::Tiny), (1, 2), options)
+}
+
+/// `model` with weights and input generated from `seeds`, on the one
+/// configuration every test here shares.
+fn run_seeded(model: &ModelSpec, seeds: (u64, u64), options: RunOptions) -> ModelRun {
+    let params = ModelParams::generate(model, seeds.0);
+    let input = generate_input(model, seeds.1);
     run_model_simulated_with(
-        &model,
+        model,
         &params,
         &input,
         AcceleratorConfig::maeri_like(32, 16),
@@ -170,59 +175,70 @@ fn mutated_checkpoint_is_rejected_by_the_state_hash() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// The state hash is stable across the serial, wave-parallel and
-/// intra-tile runners — the cross-runner oracle the fuzz matrix pins.
+/// A checkpoint is bound to its run: a directory written by the same
+/// model and configuration under other weights and another input holds
+/// nothing this run may adopt.
+#[test]
+fn resume_skips_checkpoints_of_a_run_with_other_weights_and_input() {
+    let dir = tmp_dir("foreign-seeds");
+    let model = zoo::alexnet(ModelScale::Tiny);
+    run_alexnet(RunOptions::new().checkpoint_every(1, &dir));
+    let straight = run_seeded(&model, (5, 6), RunOptions::new());
+    let resumed = run_seeded(&model, (5, 6), RunOptions::new().resume_from(&dir));
+    assert_bitwise_equal(&straight, &resumed);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Nor does a directory written by another model on the same
+/// configuration: clean start, no panic on its values.
+#[test]
+fn resume_skips_checkpoints_of_another_model() {
+    let dir = tmp_dir("foreign-model");
+    let model = zoo::squeezenet(ModelScale::Tiny);
+    run_alexnet(RunOptions::new().checkpoint_every(1, &dir));
+    let straight = run_seeded(&model, (1, 2), RunOptions::new());
+    let resumed = run_seeded(&model, (1, 2), RunOptions::new().resume_from(&dir));
+    assert_bitwise_equal(&straight, &resumed);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The state hash is stable across serial and `.parallel()` runs — the
+/// oracle the fuzz matrix pins.
 #[test]
 fn state_hash_is_stable_across_runners() {
     let serial = run_alexnet(RunOptions::new());
     let parallel = run_alexnet(RunOptions::new().parallel());
-    let intra = run_alexnet(RunOptions::new().intra_layer_parallel());
     assert_eq!(serial.state_hash(), parallel.state_hash());
-    assert_eq!(serial.state_hash(), intra.state_hash());
     // And it is not vacuous: a different input changes it.
-    let model = zoo::alexnet(ModelScale::Tiny);
-    let params = ModelParams::generate(&model, 1);
-    let other_input = generate_input(&model, 3);
-    let other = run_model_simulated_with(
-        &model,
-        &params,
-        &other_input,
-        AcceleratorConfig::maeri_like(32, 16),
-        Arc::new(NaturalOrder),
-        RunOptions::new(),
-    )
-    .unwrap();
+    let other = run_seeded(&zoo::alexnet(ModelScale::Tiny), (1, 3), RunOptions::new());
     assert_ne!(serial.state_hash(), other.state_hash());
 }
 
-/// Checkpoint writing must not perturb the recorded trace: a traced
-/// checkpointed run and a traced plain run export identical timelines.
+/// Neither checkpoint writing nor `.parallel()` perturbs the recorded
+/// trace: both export the plain run's timeline byte for byte.
 #[test]
 fn checkpointing_preserves_the_trace_byte_for_byte() {
     let dir = tmp_dir("trace");
     let model = zoo::alexnet(ModelScale::Tiny);
     let params = ModelParams::generate(&model, 1);
     let input = generate_input(&model, 2);
-    let capacity = stonne_core::trace::DEFAULT_CAPACITY;
-    let cfg = AcceleratorConfig::maeri_like(32, 16);
-    let (plain_run, plain_trace) =
-        run_model_simulated_traced_with(&model, &params, &input, cfg.clone(), capacity, {
-            RunOptions::new()
-        })
-        .unwrap();
-    let (ckpt_run, ckpt_trace) = run_model_simulated_traced_with(
-        &model,
-        &params,
-        &input,
-        cfg,
-        capacity,
+    let traced = |options: RunOptions| {
+        let capacity = stonne_core::trace::DEFAULT_CAPACITY;
+        let cfg = AcceleratorConfig::maeri_like(32, 16);
+        run_model_simulated_traced_with(&model, &params, &input, cfg, capacity, options).unwrap()
+    };
+    let (plain_run, plain_trace) = traced(RunOptions::new());
+    assert!(!plain_trace.events().is_empty());
+    for options in [
         RunOptions::new().checkpoint_every(2, &dir),
-    )
-    .unwrap();
-    assert_bitwise_equal(&plain_run, &ckpt_run);
-    assert_eq!(
-        stonne_core::chrome_trace_json(&plain_trace),
-        stonne_core::chrome_trace_json(&ckpt_trace),
-    );
+        RunOptions::new().parallel(),
+    ] {
+        let (run, trace) = traced(options);
+        assert_bitwise_equal(&plain_run, &run);
+        assert_eq!(
+            stonne_core::chrome_trace_json(&plain_trace),
+            stonne_core::chrome_trace_json(&trace),
+        );
+    }
     fs::remove_dir_all(&dir).ok();
 }

@@ -103,8 +103,8 @@ pub enum Workload {
         /// Window stride.
         stride: usize,
     },
-    /// Full-model run at `ModelScale::Tiny`: serial vs wave-parallel
-    /// runner equivalence.
+    /// Full-model run at `ModelScale::Tiny`: serial vs
+    /// `RunOptions::parallel` equivalence.
     ModelRun {
         /// DNN model to run.
         model: ModelId,
@@ -212,7 +212,7 @@ impl Workload {
             Workload::Pool { .. } => "pool",
             Workload::ModelRun { .. } => "model_run",
             Workload::ClusterScenario { .. } => "cluster_scenario",
-            Workload::IntraLayerParallel { .. } => "intra_layer_parallel",
+            Workload::IntraLayerParallel { .. } => "intra_tile_parallel",
             Workload::CheckpointResume { .. } => "checkpoint_resume",
             Workload::ShardMerge { .. } => "shard_merge",
             Workload::PredictorHoldout { .. } => "predictor_holdout",
@@ -467,7 +467,7 @@ mod tests {
             "pool",
             "model_run",
             "cluster_scenario",
-            "intra_layer_parallel",
+            "intra_tile_parallel",
             "checkpoint_resume",
             "shard_merge",
             "predictor_holdout",

@@ -85,13 +85,6 @@ if [ "$1" = "ci" ]; then
     run env RUSTDOCFLAGS="-D warnings" cargo --offline doc --no-deps --workspace
     run cargo --offline build --release --workspace
     run cargo --offline test -q --workspace --no-fail-fast
-    # The wave-race guard of ci.yml's build-test job: the two targets
-    # that were flaky while same-key ops of a wave raced for the miss.
-    for _ in 1 2 3 4 5; do
-        run cargo --offline test -q -p stonne-verify --test verify_campaign
-        run cargo --offline test -q -p stonne-verify --lib \
-            campaign::tests::merged_shards_reproduce_the_monolithic_report
-    done
     run cargo --offline test --release -p stonne-verify --test golden_fixtures
     # The verify job's timing-only gate: the cache-interchange test and
     # the `timing_only_equals_full` oracle's own unit test.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# "One path, no knob": grep-level guards for two structural rules of the
-# lower -> account -> (optionally) compute layer path (docs/ARCHITECTURE.md,
-# "Data flow of one operation"). Run by the `lint` job of ci.yml and by
+# "One path, no knob": grep-level guards for three structural rules of the
+# lower -> account -> (optionally) compute layer path and of the model walk
+# above it (docs/ARCHITECTURE.md, "Data flow of one operation" and "One
+# walk per run"). Run by the `lint` job of ci.yml and by
 # `tools/offline-check.sh ci`; needs no toolchain.
 #
 #   1. `Stonne::accounting` is the only caller of an engine's `accounting`
@@ -11,6 +12,10 @@
 #   2. Nothing in `stonne-serve` or `stonne-cluster` reads an output
 #      tensor, so every `RunOptions::new()` there asks for none: it is
 #      followed (same or next line) by `.timing_only()`.
+#   3. A model run is one sequential walk around one simulator instance:
+#      the non-test code of `crates/nn/src/{runner,checkpoint}.rs` names
+#      `Stonne::new(` once and `execute_node(` once, and the runner never
+#      fans layers over the worker pool (`run_parallel(` is absent).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,4 +39,13 @@ for file in crates/serve/src/*.rs crates/cluster/src/*.rs; do
                pending { if ($0 !~ /\.timing_only\(\)/) print FILENAME ":" pending; pending = 0 }' "$file")
     [ -z "$bad" ] || fail "RunOptions::new() without .timing_only(): $bad"
 done
+runner=crates/nn/src/runner.rs
+walk=$(src "$runner"; src crates/nn/src/checkpoint.rs)
+for call in 'Stonne::new(' 'execute_node('; do
+    n=$(grep -cF "$call" <<<"$walk" || true)
+    [ "$n" -eq 1 ] || fail "nn runner+checkpoint name $call $n times (expected 1)"
+done
+if grep -nF 'run_parallel(' "$runner"; then
+    fail "$runner fans work over the pool: a run is one sequential walk"
+fi
 echo "one-path-guard: ok" >&2
