@@ -340,16 +340,14 @@ impl Stonne {
                 (csr.storage_elements() + streamed, stats, out)
             }
             (ControllerKind::Dense, DnKind::PointToPoint) => {
-                let out = a
-                    .zip(b)
-                    .map(|(a, b)| systolic::functional(&self.config, a, b));
+                let out = a.zip(b).map(|(a, b)| systolic::functional(a, b));
                 (m * k + k * n, self.systolic_layer(name, m, n, k), out)
             }
             (ControllerKind::Dense, _) => {
                 let (ms, bw) = (self.config.ms_size, self.config.dn_bandwidth);
                 let tile = tile.unwrap_or_else(|| Tile::auto_bw(layer, ms, bw));
-                let (config, workers, sim) = (&self.config, self.intra_workers, &self.context);
-                let compute = |(a, b)| flexible::functional(config, &tile, a, b, workers, sim);
+                let (config, workers) = (&self.config, self.intra_workers);
+                let compute = |(a, b)| flexible::functional(config, &tile, a, b, workers);
                 let stats = self.dense_layer(name, layer, &tile, addrs);
                 (m * k + streamed, stats, a.zip(b).map(compute))
             }

@@ -11,11 +11,10 @@
 //! hierarchy" section of `docs/PERFORMANCE.md`).
 //!
 //! The context also pools the engines' scratch buffers (address
-//! workspaces, fold accumulators) so wave-parallel and sweep execution
-//! reuse allocations instead of re-growing them per operation.
+//! workspaces) so consecutive layers and sweep points reuse allocations
+//! instead of re-growing them per operation.
 
 use std::sync::{Arc, Mutex};
-use stonne_tensor::Elem;
 
 #[derive(Debug)]
 struct ContextInner {
@@ -34,8 +33,6 @@ struct ContextInner {
 pub(crate) struct EngineScratch {
     /// Address workspace of the flexible engine's uniqueness count.
     pub addrs: Vec<u32>,
-    /// Per-fold accumulator row of the functional chunk kernel.
-    pub acc: Vec<Elem>,
 }
 
 /// A shareable execution context: pooled scratch buffers and the

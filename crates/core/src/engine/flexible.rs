@@ -29,10 +29,10 @@
 //! # Two halves
 //!
 //! Per the [engine contract](super#two-halves): `functional` computes
-//! the output with the fold-ordered chunk kernel (fanned over worker
-//! threads on request), `accounting` walks the loop nest above over the
-//! operand's extents and address map, and [`run_dense`] is their
-//! composition.
+//! the output with the shared fold-ordered kernel (row ranges of it on
+//! worker threads on request), `accounting` walks the loop nest above
+//! over the operand's extents and address map, and [`run_dense`] is
+//! their composition.
 
 use crate::config::{AcceleratorConfig, Dataflow};
 use crate::context::{EngineScratch as Scratch, SimContext};
@@ -41,7 +41,7 @@ use crate::networks::{DistributionNetwork, MultiplierNetwork, ReductionNetwork};
 use crate::stats::SimStats;
 use crate::trace::{Component, Probe};
 use serde::{Deserialize, Serialize};
-use stonne_tensor::{Conv2dGeom, Elem, Matrix};
+use stonne_tensor::{fold_gemm, Conv2dGeom, Elem, Matrix};
 
 /// Address marker for zero-padding taps (nothing is fetched).
 pub const PAD_ADDR: u32 = u32::MAX;
@@ -221,7 +221,7 @@ pub fn run_dense_with(
     let sim = SimContext::new();
     let stats = accounting(config, operation, layer, tile, &operand.addrs, &sim);
     let (weights, inputs) = (&operand.weights, &operand.inputs);
-    let out = functional(config, tile, weights, inputs, workers, &sim);
+    let out = functional(config, tile, weights, inputs, workers);
     (out, stats)
 }
 
@@ -246,11 +246,15 @@ fn transposed_problem(
 }
 
 /// The functional half: the `M × N` output in the engine's exact f32
-/// accumulation order (see [`compute_chunk_output`]). WS and OS
-/// accumulate identically; IS computes the transposed problem with its
-/// re-derived tile. When `workers > 1` the independent filter chunks
-/// (disjoint output-row blocks) fan across that many scoped threads —
-/// output rows are independent, so any chunking gives the same bits.
+/// accumulation order — per output, the dot product reduced one
+/// cluster-sized fold at a time (rows ascending within a fold) and one
+/// accumulator add into the output per fold, folds ascending, which is
+/// [`fold_gemm`] at `fold = cluster size`. Padding taps multiply the
+/// stored zero. WS and OS accumulate identically; IS computes the
+/// transposed problem with its re-derived tile. When `workers > 1` the
+/// independent filter chunks (disjoint blocks of `t_k·t_g` output rows)
+/// are split among that many scoped threads — output rows are
+/// independent, so any split gives the same bits.
 ///
 /// # Panics
 ///
@@ -261,85 +265,40 @@ pub(crate) fn functional(
     weights: &Matrix,
     inputs: &Matrix,
     workers: usize,
-    sim: &SimContext,
 ) -> Matrix {
     let (m, k_len) = (weights.rows(), weights.cols());
     assert_eq!(inputs.rows(), k_len, "operand inner dims disagree");
     if config.dataflow == Dataflow::InputStationary {
         let (_, t_tile) = transposed_problem(config, m, k_len, inputs.cols());
         let (weights, inputs) = (inputs.transposed(), weights.transposed());
-        return chunked_output(&weights, &inputs, &t_tile, workers, sim).transposed();
+        return functional_ws(&t_tile, &weights, &inputs, workers).transposed();
     }
-    chunked_output(weights, inputs, tile, workers, sim)
+    functional_ws(tile, weights, inputs, workers)
 }
 
-/// `weights × inputs` by [`compute_chunk_output`]: the whole operand as
-/// one chunk, or one chunk of `t_k·t_g` filters per worker task.
-fn chunked_output(
-    weights: &Matrix,
-    inputs: &Matrix,
-    tile: &Tile,
-    workers: usize,
-    sim: &SimContext,
-) -> Matrix {
+/// `weights × inputs` by the shared kernel: on the calling thread, or —
+/// given workers and more than one filter chunk — every worker's
+/// contiguous share of whole chunks on its own scoped thread.
+fn functional_ws(tile: &Tile, weights: &Matrix, inputs: &Matrix, workers: usize) -> Matrix {
     let (m, n) = (weights.rows(), inputs.cols());
-    let cluster = tile.cluster_size();
     let t_k = tile.t_k * tile.t_g;
     let mut out = Matrix::zeros(m, n);
+    let share = |i: usize, rows: usize, block: &mut [Elem]| {
+        let rows = i * rows..((i + 1) * rows).min(m);
+        fold_gemm(weights, rows, inputs, tile.cluster_size(), block);
+    };
     if workers > 1 && m > t_k {
-        let blocks = out.as_mut_slice().chunks_mut(t_k * n);
-        run_chunks_parallel(workers, blocks, sim, |kc, block, acc| {
-            let rows = kc * t_k..((kc + 1) * t_k).min(m);
-            compute_chunk_output(weights, inputs, cluster, rows, block, acc);
+        let rows = m.div_ceil(t_k).div_ceil(workers) * t_k;
+        // The scope joins every worker and re-raises a worker's panic.
+        std::thread::scope(|scope| {
+            for (i, block) in out.as_mut_slice().chunks_mut(rows * n).enumerate() {
+                scope.spawn(move || share(i, rows, block));
+            }
         });
     } else {
-        let mut scratch = sim.take_scratch();
-        let (block, acc) = (out.as_mut_slice(), &mut scratch.acc);
-        compute_chunk_output(weights, inputs, cluster, 0..m, block, acc);
-        sim.put_scratch(scratch);
+        share(0, m, out.as_mut_slice());
     }
     out
-}
-
-/// Computes a filter chunk's functional output (the given `rows`, all
-/// `n` columns) in the engine's exact accumulation order: per output,
-/// rows ascending within a fold and one accumulator add into the output
-/// per fold, folds ascending. Blocking over the output columns keeps
-/// that order per output while making the inner sweep an independent
-/// multiply-add over a contiguous row — instruction-parallel and
-/// vectorizable, unlike a per-output latency-bound dot chain. Padding
-/// taps multiply the stored zero, exactly as the per-element walk did.
-fn compute_chunk_output(
-    weights: &Matrix,
-    inputs: &Matrix,
-    cluster: usize,
-    rows: std::ops::Range<usize>,
-    out_rows: &mut [Elem],
-    acc: &mut Vec<Elem>,
-) {
-    let k_len = weights.cols();
-    let n = inputs.cols();
-    let cluster = cluster.max(1);
-    let folds = k_len.div_ceil(cluster);
-    acc.resize(n, 0.0);
-    let acc = &mut acc[..n];
-    for (kf, out_row) in rows.zip(out_rows.chunks_mut(n)) {
-        let w_row = weights.row(kf);
-        for fold in 0..folds {
-            let row_lo = fold * cluster;
-            let row_hi = (row_lo + cluster).min(k_len);
-            acc.fill(0.0);
-            for (&wv, row) in w_row[row_lo..row_hi].iter().zip(row_lo..row_hi) {
-                let src = &inputs.row(row)[..n];
-                for (a, &x) in acc.iter_mut().zip(src) {
-                    *a += wv * x;
-                }
-            }
-            for (o, &a) in out_row.iter_mut().zip(acc.iter()) {
-                *o += a;
-            }
-        }
-    }
 }
 
 /// Counts `(unique, non_pad)` addresses in the given (rows × cols)
@@ -683,38 +642,6 @@ fn filter_chunks_accounting(
     stats
 }
 
-/// Fans the filter chunks (their disjoint output-row `blocks`) across up
-/// to `workers` scoped threads, each with a pooled fold accumulator.
-fn run_chunks_parallel<F>(
-    workers: usize,
-    blocks: std::slice::ChunksMut<'_, Elem>,
-    sim: &SimContext,
-    chunk_fn: F,
-) where
-    F: Fn(usize, &mut [Elem], &mut Vec<Elem>) + Sync,
-{
-    let threads = workers.min(blocks.len());
-    // Static round-robin assignment: balanced (chunks are uniform except
-    // the last).
-    let mut per_thread: Vec<Vec<(usize, &mut [Elem])>> = (0..threads).map(|_| Vec::new()).collect();
-    for (kc, block) in blocks.enumerate() {
-        per_thread[kc % threads].push((kc, block));
-    }
-    // The scope joins every worker and re-raises a worker's panic.
-    std::thread::scope(|scope| {
-        for assignment in per_thread {
-            let chunk_fn = &chunk_fn;
-            scope.spawn(move || {
-                let mut scratch = sim.take_scratch();
-                for (kc, block) in assignment {
-                    chunk_fn(kc, block, &mut scratch.acc);
-                }
-                sim.put_scratch(scratch);
-            });
-        }
-    });
-}
-
 /// Timing/activity of one filter chunk of an output-stationary run:
 /// outputs stay pinned in the accumulators while weights AND inputs
 /// stream per fold. Same width-only/disjoint-row contract as
@@ -789,6 +716,7 @@ fn os_chunk_accounting(
 mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
+    use crate::engine::tests::bits;
     use stonne_tensor::{assert_slices_close, gemm_reference, SeededRng};
 
     fn gemm_setup(m: usize, n: usize, k: usize, seed: u64) -> (Matrix, Matrix, DenseOperand) {
@@ -969,6 +897,77 @@ mod tests {
                     "{dataflow:?} x{workers}: outputs must be bitwise identical"
                 );
                 assert_eq!(serial, par, "{dataflow:?} x{workers}: stats must match");
+            }
+        }
+    }
+
+    /// The loop nest `functional` ran before the shared kernel, kept
+    /// verbatim as its oracle: one output row at a time, a fold
+    /// accumulator row swept over the `n` columns, one add per fold.
+    fn compute_chunk_output(
+        weights: &Matrix,
+        inputs: &Matrix,
+        cluster: usize,
+        rows: std::ops::Range<usize>,
+        out_rows: &mut [Elem],
+        acc: &mut Vec<Elem>,
+    ) {
+        let k_len = weights.cols();
+        let n = inputs.cols();
+        let cluster = cluster.max(1);
+        let folds = k_len.div_ceil(cluster);
+        acc.resize(n, 0.0);
+        let acc = &mut acc[..n];
+        for (kf, out_row) in rows.zip(out_rows.chunks_mut(n)) {
+            let w_row = weights.row(kf);
+            for fold in 0..folds {
+                let row_lo = fold * cluster;
+                let row_hi = (row_lo + cluster).min(k_len);
+                acc.fill(0.0);
+                for (&wv, row) in w_row[row_lo..row_hi].iter().zip(row_lo..row_hi) {
+                    let src = &inputs.row(row)[..n];
+                    for (a, &x) in acc.iter_mut().zip(src) {
+                        *a += wv * x;
+                    }
+                }
+                for (o, &a) in out_row.iter_mut().zip(acc.iter()) {
+                    *o += a;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn functional_equals_the_previous_loop_nest_bitwise() {
+        // Ragged everywhere: rows and columns off the register block, a
+        // ragged last fold, several filter chunks for the workers.
+        for (seed, dataflow) in [
+            (71, Dataflow::WeightStationary),
+            (72, Dataflow::OutputStationary),
+            (73, Dataflow::InputStationary),
+        ] {
+            for (m, n, k) in [(24, 13, 40), (7, 33, 61), (1, 1, 5)] {
+                let (a, b, _) = gemm_setup(m, n, k, seed);
+                let layer = LayerDims::from_gemm(m, n, k);
+                let tile = Tile::auto(&layer, 32);
+                let mut cfg = AcceleratorConfig::maeri_like(32, 8);
+                cfg.dataflow = dataflow;
+                let mut want = Matrix::zeros(m, n);
+                if dataflow == Dataflow::InputStationary {
+                    let (_, t_tile) = transposed_problem(&cfg, m, k, n);
+                    let (cluster, mut t_out) = (t_tile.cluster_size(), Matrix::zeros(n, m));
+                    let (w, x, block) = (b.transposed(), a.transposed(), t_out.as_mut_slice());
+                    compute_chunk_output(&w, &x, cluster, 0..n, block, &mut Vec::new());
+                    want = t_out.transposed();
+                } else {
+                    let (cluster, block) = (tile.cluster_size(), want.as_mut_slice());
+                    compute_chunk_output(&a, &b, cluster, 0..m, block, &mut Vec::new());
+                }
+                for workers in [1, 3] {
+                    let got = functional(&cfg, &tile, &a, &b, workers);
+                    let label = format!("{dataflow:?} {m}x{n}x{k} x{workers}");
+                    assert_eq!(bits(&got), bits(&want), "{label}");
+                }
             }
         }
     }

@@ -53,7 +53,12 @@ pub fn conv_operand(
 mod tests {
     use super::*;
     use crate::engine::flexible::PAD_ADDR;
-    use stonne_tensor::SeededRng;
+    use stonne_tensor::{Matrix, SeededRng};
+
+    /// A matrix's bit patterns, for the engines' bitwise-equality tests.
+    pub(crate) fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
 
     /// The eagerly materialised map `conv_operand` used to carry: the
     /// absolute GB address of every im2col entry of group `g`.

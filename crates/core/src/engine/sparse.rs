@@ -316,31 +316,30 @@ fn estimate_input_stationary(
 }
 
 /// The functional half: the `M × N` output in the engine's f32
-/// accumulation order — per streaming column, every mapped segment's
-/// partial sum (non-zeros ascending) added into its output in packing
-/// order. Both dataflows accumulate alike: an input-stationary run holds
-/// whole rows (`K ≤ ms_size`), i.e. one unfolded segment per row.
+/// accumulation order — per output, every mapped segment's partial sum
+/// (non-zeros ascending, from `+0.0`) added in packing order. A segment's
+/// sum is accumulated for all streaming columns at once, reading `b`'s
+/// rows in place: the columns are independent outputs, so the sweep
+/// vectorises without reordering any one of them. Both dataflows
+/// accumulate alike: an input-stationary run holds whole rows
+/// (`K ≤ ms_size`), i.e. one unfolded segment per row.
 ///
 /// # Panics
 ///
 /// Panics if the inner dimensions disagree.
 pub(crate) fn functional(plan: &Plan, b: &Matrix) -> Matrix {
     assert_eq!(plan.a.cols(), b.rows(), "SpMM inner dimension mismatch");
-    let n = b.cols();
-    let mut out = Matrix::zeros(plan.a.rows(), n);
-    // Transposed once so every streaming column is a contiguous slice.
-    let bt = b.transposed();
-    for segments in &plan.iterations {
-        for col in 0..n {
-            let bcol = bt.row(col);
-            for seg in segments {
-                let mut acc: Elem = 0.0;
-                for (k, w) in plan.entries(seg) {
-                    acc += w * bcol[k];
-                }
-                let cur = out.get(seg.row, col);
-                out.set(seg.row, col, cur + acc);
+    let mut out = Matrix::zeros(plan.a.rows(), b.cols());
+    let mut acc: Vec<Elem> = vec![0.0; b.cols()];
+    for seg in plan.iterations.iter().flatten() {
+        acc.fill(0.0);
+        for (k, w) in plan.entries(seg) {
+            for (a, &x) in acc.iter_mut().zip(b.row(k)) {
+                *a += w * x;
             }
+        }
+        for (o, &a) in out.row_mut(seg.row).iter_mut().zip(&acc) {
+            *o += a;
         }
     }
     out
@@ -602,6 +601,7 @@ pub fn run_spmm_auto_format(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::bits;
     use stonne_tensor::{assert_slices_close, gemm_reference, spmm_reference, SeededRng};
 
     fn sparse_a(m: usize, k: usize, sparsity: f64, seed: u64) -> Matrix {
@@ -803,6 +803,54 @@ mod tests {
         }
         fn allow_skip(&self) -> bool {
             true
+        }
+    }
+
+    /// The loop nest `functional` ran before the column sweep, kept
+    /// verbatim as its oracle: per iteration and streaming column, one
+    /// scalar dot chain per segment over the transposed `b`.
+    fn scalar_segment_chains(plan: &Plan, b: &Matrix) -> Matrix {
+        let n = b.cols();
+        let mut out = Matrix::zeros(plan.a.rows(), n);
+        let bt = b.transposed();
+        for segments in &plan.iterations {
+            for col in 0..n {
+                let bcol = bt.row(col);
+                for seg in segments {
+                    let mut acc: Elem = 0.0;
+                    for (k, w) in plan.entries(seg) {
+                        acc += w * bcol[k];
+                    }
+                    let cur = out.get(seg.row, col);
+                    out.set(seg.row, col, cur + acc);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn functional_equals_the_previous_loop_nest_bitwise() {
+        // (ms_size, stationary operand, N): rows that fold into several
+        // segments, sparse rows packed several per iteration (in order
+        // and with skip-ahead), and the GEMV input-stationary mapping.
+        let cases = [
+            (32, sparse_a(5, 100, 0.0, 81), 9),
+            (16, sparse_a(12, 40, 0.6, 82), 17),
+            (64, sparse_a(9, 20, 0.3, 83), 4),
+            (128, sparse_a(64, 32, 0.4, 84), 1),
+        ];
+        for (i, (ms, a, n)) in cases.into_iter().enumerate() {
+            let mut rng = SeededRng::new(90 + i as u64);
+            let b = Matrix::random(a.cols(), n, &mut rng);
+            let csr = CsrMatrix::from_dense(&a);
+            let cfg = AcceleratorConfig::sigma_like(ms, ms);
+            for schedule in [&NaturalOrder as &dyn RowSchedule, &LargestFirst] {
+                let plan = Plan::new(&cfg, &csr, n, schedule);
+                assert_eq!(plan.input_stationary(), n == 1, "case {i}");
+                let (got, want) = (functional(&plan, &b), scalar_segment_chains(&plan, &b));
+                assert_eq!(bits(&got), bits(&want), "case {i}, {}", schedule.name());
+            }
         }
     }
 

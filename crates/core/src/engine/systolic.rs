@@ -18,15 +18,15 @@
 //!
 //! # Two halves
 //!
-//! Per the [engine contract](super#two-halves): `functional` is the
-//! tile-blocked dot-product nest, `accounting` the per-tile closed forms
+//! Per the [engine contract](super#two-halves): `functional` is one
+//! straight dot product per output, `accounting` the per-tile closed forms
 //! over `(m, n, k)`, and [`run_gemm`] their composition.
 
 use crate::config::AcceleratorConfig;
 use crate::networks::{DistributionNetwork, MultiplierNetwork, ReductionNetwork};
 use crate::stats::SimStats;
 use crate::trace::{Component, Probe};
-use stonne_tensor::{Elem, Matrix};
+use stonne_tensor::{fold_gemm, Matrix};
 
 /// Fixed pipeline-fill cycles (command issue + edge injection).
 const FILL_CYCLES: u64 = 2;
@@ -47,7 +47,7 @@ pub fn run_gemm(
     a: &Matrix,
     b: &Matrix,
 ) -> (Matrix, SimStats) {
-    let out = functional(config, a, b);
+    let out = functional(a, b);
     let stats = accounting(config, operation, a.rows(), b.cols(), a.cols());
     (out, stats)
 }
@@ -55,36 +55,17 @@ pub fn run_gemm(
 /// The functional half: on the wavefront (PE *(i,j)* fires its MAC for
 /// inner index `kk` at cycle `fill + i + j + kk`) every PE accumulates its
 /// psum in ascending-`kk` order — exactly a straight dot product per
-/// output, computed here tile by tile instead of sweeping the grid cycle
-/// by cycle.
+/// output, whichever tile it belongs to: the shared kernel with the whole
+/// dot product as one fold. (The fold's sum starts at `+0.0` and so is
+/// never `-0.0`; adding it into the zeroed output keeps its bits.)
 ///
 /// # Panics
 ///
 /// Panics if the operand shapes disagree.
-pub(crate) fn functional(config: &AcceleratorConfig, a: &Matrix, b: &Matrix) -> Matrix {
+pub(crate) fn functional(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "GEMM inner dimension mismatch");
-    let dim = config.pe_dim();
-    let (m, n) = (a.rows(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    // Column-contiguous view of B: every PE column's operand stream is a
-    // slice, so each PE's MAC sequence is a contiguous dot product.
-    let bt = b.transposed();
-    for i_lo in (0..m).step_by(dim) {
-        for j_lo in (0..n).step_by(dim) {
-            let j_hi = (j_lo + dim).min(n);
-            for i in i_lo..(i_lo + dim).min(m) {
-                let arow = a.row(i);
-                let otile = &mut out.row_mut(i)[j_lo..j_hi];
-                for (o, j) in otile.iter_mut().zip(j_lo..j_hi) {
-                    let mut acc: Elem = 0.0;
-                    for (&av, &bv) in arow.iter().zip(bt.row(j)) {
-                        acc += av * bv;
-                    }
-                    *o = acc;
-                }
-            }
-        }
-    }
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    fold_gemm(a, 0..a.rows(), b, a.cols(), out.as_mut_slice());
     out
 }
 
@@ -218,7 +199,8 @@ pub fn expected_cycles(dim: usize, m: usize, n: usize, k: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stonne_tensor::{assert_slices_close, gemm_reference, SeededRng};
+    use crate::engine::tests::bits;
+    use stonne_tensor::{assert_slices_close, gemm_reference, Elem, SeededRng};
 
     fn run(dim: usize, m: usize, n: usize, k: usize, seed: u64) -> (Matrix, Matrix, SimStats) {
         let mut rng = SeededRng::new(seed);
@@ -226,9 +208,38 @@ mod tests {
         let b = Matrix::random(k, n, &mut rng);
         let cfg = AcceleratorConfig::tpu_like(dim);
         let (out, stats) = run_gemm(&cfg, "gemm", &a, &b);
-        let reference = gemm_reference(&a, &b);
-        assert_slices_close(out.as_slice(), reference.as_slice());
+        // One ascending dot product per output: bit for bit the previous
+        // nest's and the reference's result.
+        assert_eq!(bits(&out), bits(&tile_blocked_dot_chains(&cfg, &a, &b)));
+        assert_eq!(bits(&out), bits(&gemm_reference(&a, &b)));
         (a, b, stats)
+    }
+
+    /// The loop nest `functional` ran before the shared kernel, kept
+    /// verbatim as its oracle: output tiles of `dim × dim`, one scalar dot
+    /// chain per PE over the transposed `B`.
+    fn tile_blocked_dot_chains(config: &AcceleratorConfig, a: &Matrix, b: &Matrix) -> Matrix {
+        let dim = config.pe_dim();
+        let (m, n) = (a.rows(), b.cols());
+        let mut out = Matrix::zeros(m, n);
+        let bt = b.transposed();
+        for i_lo in (0..m).step_by(dim) {
+            for j_lo in (0..n).step_by(dim) {
+                let j_hi = (j_lo + dim).min(n);
+                for i in i_lo..(i_lo + dim).min(m) {
+                    let arow = a.row(i);
+                    let otile = &mut out.row_mut(i)[j_lo..j_hi];
+                    for (o, j) in otile.iter_mut().zip(j_lo..j_hi) {
+                        let mut acc: Elem = 0.0;
+                        for (&av, &bv) in arow.iter().zip(bt.row(j)) {
+                            acc += av * bv;
+                        }
+                        *o = acc;
+                    }
+                }
+            }
+        }
+        out
     }
 
     #[test]
@@ -240,6 +251,13 @@ mod tests {
     fn functional_on_ragged_tiles() {
         run(4, 7, 9, 5, 2);
         run(8, 3, 17, 21, 3);
+        // Dot products of signed zeros: a sum started at +0.0 never ends
+        // at -0.0, so adding it into the zeroed output keeps its bits.
+        let a = Matrix::from_rows(&[&[-1.0, 2.0, -0.0], &[0.0, -0.0, 3.0]]);
+        let b = Matrix::from_rows(&[&[0.0, -0.0], &[-0.0, -0.0], &[-0.0, 0.0]]);
+        let out = functional(&a, &b);
+        let old = tile_blocked_dot_chains(&AcceleratorConfig::tpu_like(4), &a, &b);
+        assert_eq!(bits(&out), bits(&old));
     }
 
     #[test]

@@ -287,13 +287,11 @@ fn attention<B: Backend>(
     let mut out = Matrix::zeros(seq, dim);
     for h in 0..heads {
         let slice = |m: &Matrix| -> Matrix {
-            let mut s = Matrix::zeros(seq, dh);
+            let mut head = Vec::with_capacity(seq * dh);
             for r in 0..seq {
-                for c in 0..dh {
-                    s.set(r, c, m.get(r, h * dh + c));
-                }
+                head.extend_from_slice(&m.row(r)[h * dh..][..dh]);
             }
-            s
+            Matrix::from_vec(seq, dh, head)
         };
         let qh = slice(q);
         let kh = slice(k);
@@ -303,9 +301,7 @@ fn attention<B: Backend>(
         let probs = softmax_rows(&scores, false);
         let ctx = backend.matmul(&format!("{name}.h{h}.sv"), &probs, &vh);
         for r in 0..seq {
-            for c in 0..dh {
-                out.set(r, h * dh + c, ctx.get(r, c));
-            }
+            out.row_mut(r)[h * dh..][..dh].copy_from_slice(ctx.row(r));
         }
     }
     out

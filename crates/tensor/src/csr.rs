@@ -27,19 +27,24 @@ pub struct CsrMatrix {
 impl CsrMatrix {
     /// Builds a CSR matrix from a dense matrix, dropping exact zeros.
     pub fn from_dense(m: &Matrix) -> Self {
+        // No branch per element: each one is written at the cursor, which
+        // only a non-zero advances; the spare slot takes trailing zeros.
+        let nnz = m.nnz();
         let mut row_ptr = Vec::with_capacity(m.rows() + 1);
-        let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
+        let mut col_idx = vec![0; nnz + 1];
+        let mut vals = vec![0.0; nnz + 1];
+        let mut len = 0;
         row_ptr.push(0);
         for r in 0..m.rows() {
             for (c, &v) in m.row(r).iter().enumerate() {
-                if v != 0.0 {
-                    col_idx.push(c);
-                    vals.push(v);
-                }
+                col_idx[len] = c;
+                vals[len] = v;
+                len += usize::from(v != 0.0);
             }
-            row_ptr.push(col_idx.len());
+            row_ptr.push(len);
         }
+        col_idx.truncate(nnz);
+        vals.truncate(nnz);
         Self {
             rows: m.rows(),
             cols: m.cols(),
@@ -168,6 +173,21 @@ mod tests {
         assert_eq!(csr.row_nnz(0), 1);
         assert_eq!(csr.row_nnz(1), 0);
         assert_eq!(csr.row_nnz(2), 2);
+    }
+
+    #[test]
+    fn from_dense_keeps_exactly_the_non_zeros_in_order() {
+        // Zeros of both signs in every position, trailing ones included.
+        let dense = Matrix::from_rows(&[&[-0.0, 7.0, 0.0, f32::NAN], &[1.0, -0.0, 2.0, 0.0]]);
+        let csr = CsrMatrix::from_dense(&dense);
+        let expected = CsrMatrix::from_raw(2, 4, vec![0, 2, 4], vec![1, 3, 0, 2], vec![0.0; 4]);
+        assert_eq!(
+            (csr.row_ptr, csr.col_idx),
+            (expected.row_ptr, expected.col_idx)
+        );
+        let bits: Vec<u32> = csr.vals.iter().map(|v| v.to_bits()).collect();
+        let kept = [7.0, f32::NAN, 1.0, 2.0].map(f32::to_bits);
+        assert_eq!(bits, kept);
     }
 
     #[test]

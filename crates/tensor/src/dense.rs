@@ -186,10 +186,19 @@ impl Matrix {
 
     /// Returns the transposed matrix.
     pub fn transposed(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.set(c, r, self.get(r, c));
+        // Square tiles keep both the rows read and the rows written in
+        // cache; a plain double loop strides one side by a whole row.
+        const TILE: usize = 16;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut t = Matrix::zeros(cols, rows);
+        for r0 in (0..rows).step_by(TILE) {
+            let r1 = (r0 + TILE).min(rows);
+            for c0 in (0..cols).step_by(TILE) {
+                for c in c0..(c0 + TILE).min(cols) {
+                    for r in r0..r1 {
+                        t.data[c * rows + r] = self.data[r * cols + c];
+                    }
+                }
             }
         }
         t
@@ -417,9 +426,17 @@ mod tests {
 
     #[test]
     fn matrix_transpose_involution() {
+        // Inside one tile, ragged across tiles both ways, and empty.
         let mut rng = SeededRng::new(7);
-        let m = Matrix::random(5, 3, &mut rng);
-        assert_eq!(m.transposed().transposed(), m);
+        for (rows, cols) in [(5, 3), (16, 16), (37, 18), (1, 40), (0, 4), (4, 0)] {
+            let m = Matrix::random(rows, cols, &mut rng);
+            let t = m.transposed();
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            for (i, &v) in m.as_slice().iter().enumerate() {
+                assert_eq!(t.get(i % cols, i / cols).to_bits(), v.to_bits());
+            }
+            assert_eq!(t.transposed(), m);
+        }
     }
 
     #[test]

@@ -12,31 +12,19 @@ use crate::{Conv2dGeom, Matrix, Tensor4};
 /// Builds the per-group weights (MK) matrix for group `g`.
 ///
 /// Rows are filters of the group; columns scan `(c, fy, fx)` with `c`
-/// outermost — the same order [`im2col_matrix`] uses for its rows.
+/// outermost — the same order [`im2col_matrix`] uses for its rows, and
+/// the order of a KCHW buffer, of which group `g` is rows `g·kpg..`.
 ///
 /// # Panics
 ///
 /// Panics when `g >= geom.groups` or when shapes disagree.
 pub fn weights_matrix(weights: &Tensor4, geom: &Conv2dGeom, g: usize) -> Matrix {
     assert!(g < geom.groups, "group {g} out of range");
-    assert_eq!(weights.n(), geom.out_c);
-    assert_eq!(weights.c(), geom.in_c_per_group());
-    let kpg = geom.out_c_per_group();
-    let klen = geom.dot_product_len();
-    let mut m = Matrix::zeros(kpg, klen);
-    for kk in 0..kpg {
-        let k = g * kpg + kk;
-        let mut col = 0;
-        for c in 0..geom.in_c_per_group() {
-            for fy in 0..geom.kh {
-                for fx in 0..geom.kw {
-                    m.set(kk, col, weights.get(k, c, fy, fx));
-                    col += 1;
-                }
-            }
-        }
-    }
-    m
+    let filter_shape = (geom.out_c, geom.in_c_per_group(), geom.kh, geom.kw);
+    assert_eq!(weights.shape(), filter_shape, "weights shape mismatch");
+    let (kpg, klen) = (geom.out_c_per_group(), geom.dot_product_len());
+    let block = &weights.as_slice()[g * kpg * klen..][..kpg * klen];
+    Matrix::from_vec(kpg, klen, block.to_vec())
 }
 
 /// Builds the per-group im2col (KN) matrix for group `g`.
@@ -180,6 +168,36 @@ mod tests {
     #[test]
     fn im2col_equals_direct_conv_1x1() {
         check_equivalence(Conv2dGeom::new(8, 16, 1, 1, 1, 0, 1), 1, 4, 4, 5);
+    }
+
+    #[test]
+    fn weights_matrix_equals_the_per_element_gather() {
+        // Plain, two groups, depthwise: group g's block of the KCHW
+        // buffer is the matrix the (k, c, fy, fx) walk assembles.
+        for (seed, geom) in [
+            (7, Conv2dGeom::new(3, 4, 3, 2, 1, 1, 1)),
+            (8, Conv2dGeom::new(4, 6, 2, 3, 1, 0, 2)),
+            (9, Conv2dGeom::new(5, 5, 3, 3, 2, 1, 5)),
+        ] {
+            let (cpg, kpg) = (geom.in_c_per_group(), geom.out_c_per_group());
+            let mut rng = SeededRng::new(seed);
+            let weights = Tensor4::random(geom.out_c, cpg, geom.kh, geom.kw, &mut rng);
+            for g in 0..geom.groups {
+                let mut gathered = Matrix::zeros(kpg, geom.dot_product_len());
+                for kk in 0..kpg {
+                    let mut col = 0;
+                    for c in 0..cpg {
+                        for fy in 0..geom.kh {
+                            for fx in 0..geom.kw {
+                                gathered.set(kk, col, weights.get(g * kpg + kk, c, fy, fx));
+                                col += 1;
+                            }
+                        }
+                    }
+                }
+                assert_eq!(weights_matrix(&weights, &geom, g), gathered, "group {g}");
+            }
+        }
     }
 
     #[test]

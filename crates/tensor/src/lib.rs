@@ -12,6 +12,8 @@
 //!   convolution onto a GEMM.
 //! * [`conv2d_reference`] and [`gemm_reference`] — golden functional models
 //!   used to validate the cycle-level simulator's outputs.
+//! * [`fold_gemm`] — the register-blocked, accumulation-order-preserving
+//!   GEMM kernel every MAC engine computes its outputs with.
 //! * [`prune`] — unstructured magnitude pruning used to reach the weight
 //!   sparsity ratios of Table I of the paper.
 //!
@@ -32,6 +34,7 @@ pub mod bitmap;
 pub mod conv;
 pub mod csr;
 pub mod dense;
+pub mod fold;
 pub mod gemm;
 pub mod im2col;
 pub mod prune;
@@ -41,6 +44,7 @@ pub use bitmap::BitmapMatrix;
 pub use conv::{conv2d_reference, maxpool2d_reference, Conv2dGeom};
 pub use csr::CsrMatrix;
 pub use dense::{Matrix, Tensor4};
+pub use fold::fold_gemm;
 pub use gemm::{gemm_reference, spmm_reference};
 pub use im2col::col2im_output;
 pub use im2col::{im2col_matrix, weights_matrix};

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# "One path, no knob": grep-level guards for three structural rules of the
+# "One path, no knob": grep-level guards for four structural rules of the
 # lower -> account -> (optionally) compute layer path and of the model walk
 # above it (docs/ARCHITECTURE.md, "Data flow of one operation" and "One
 # walk per run"). Run by the `lint` job of ci.yml and by
@@ -16,6 +16,15 @@
 #      the non-test code of `crates/nn/src/{runner,checkpoint}.rs` names
 #      `Stonne::new(` once and `execute_node(` once, and the runner never
 #      fans layers over the worker pool (`run_parallel(` is absent).
+#   4. Every MAC engine's `functional` half is the one order-preserving
+#      kernel of `stonne-tensor`: the non-test code of
+#      `crates/core/src/engine/{flexible,systolic}.rs` names `fold_gemm(`
+#      once each, the old per-engine loops (`compute_chunk_output`, a
+#      `.transposed()` copy of the streaming operand in `systolic.rs`, a
+#      second one in `sparse.rs` beside the activation-sparsity
+#      accounting's) exist only as test oracles, and neither crate holds
+#      `unsafe`, a `target_feature` or a `target_arch` (one source, every
+#      CPU, bit for bit).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,5 +56,22 @@ for call in 'Stonne::new(' 'execute_node('; do
 done
 if grep -nF 'run_parallel(' "$runner"; then
     fail "$runner fans work over the pool: a run is one sequential walk"
+fi
+engines=crates/core/src/engine
+for engine in flexible systolic; do
+    n=$(src "$engines/$engine.rs" | grep -cF 'fold_gemm(' || true)
+    [ "$n" -eq 1 ] || fail "$engines/$engine.rs names fold_gemm( $n times (expected 1)"
+done
+old_loops=$(for f in crates/core/src/*.rs "$engines"/*.rs crates/tensor/src/*.rs; do src "$f"; done \
+    | grep -F 'compute_chunk_output' || true)
+[ -z "$old_loops" ] || fail "compute_chunk_output outside a test oracle:"$'\n'"$old_loops"
+transposes() { # <engine> <expected count>
+    n=$(src "$engines/$1.rs" | grep -cF '.transposed()' || true)
+    [ "$n" -eq "$2" ] || fail "$engines/$1.rs calls .transposed() $n times (expected $2)"
+}
+transposes systolic 0
+transposes sparse 1
+if grep -rnE 'unsafe|target_feature|target_arch' crates/tensor/src crates/core/src; then
+    fail "the functional kernel is safe, portable Rust: no unsafe, no per-CPU code"
 fi
 echo "one-path-guard: ok" >&2
