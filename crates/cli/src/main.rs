@@ -26,7 +26,7 @@ use stonne::core::{
 };
 use stonne::core::{NaturalOrder, SimCache};
 use stonne::energy::{area_um2, EnergyModel};
-use stonne::models::{zoo, ModelId, ModelScale};
+use stonne::models::zoo;
 use stonne::nn::params::{generate_input, ModelParams};
 use stonne::nn::runner::{run_model_simulated_with, RunOptions};
 use stonne::tensor::{prune_matrix_to_sparsity, Conv2dGeom, Matrix, SeededRng, Tensor4};
@@ -69,10 +69,6 @@ fn usage() -> &'static str {
        --seed N                 RNG seed                  [default: 1]\n\
        --sim-cache on|off       layer-simulation memoization (model runs;\n\
                                 bitwise-identical results)  [default: on]\n\
-       --fidelity exact|fast    model/sweep runs: `fast` estimates cycles\n\
-                                with the committed predictor; sweeps then\n\
-                                re-score the Pareto frontier exactly\n\
-                                (see docs/PREDICT.md)    [default: exact]\n\
        --json                   print the JSON stats summary\n\
        --counters               print the counter file\n\
        --energy                 print the energy/area estimate\n\
@@ -292,22 +288,8 @@ fn cmd_conv(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_model(args: &Args) -> Result<(), String> {
-    let id = match args.get_str("name", "squeezenet").as_str() {
-        "mobilenet" => ModelId::MobileNetV1,
-        "squeezenet" => ModelId::SqueezeNet,
-        "alexnet" => ModelId::AlexNet,
-        "resnet50" => ModelId::ResNet50,
-        "vgg16" => ModelId::Vgg16,
-        "ssd" => ModelId::SsdMobileNet,
-        "bert" => ModelId::Bert,
-        other => return Err(format!("unknown model `{other}`")),
-    };
-    let scale = match args.get_str("scale", "tiny").as_str() {
-        "standard" => ModelScale::Standard,
-        "reduced" => ModelScale::Reduced,
-        "tiny" => ModelScale::Tiny,
-        other => return Err(format!("unknown scale `{other}`")),
-    };
+    let id = stonne_cluster::spec::parse_model(&args.get_str("name", "squeezenet"))?;
+    let scale = stonne_cluster::spec::parse_scale(&args.get_str("scale", "tiny"))?;
     let seed = args.get_usize("seed", 1)? as u64;
     let sim_cache = match args.get_str("sim-cache", "on").as_str() {
         "on" => Some(SimCache::new()),
@@ -329,16 +311,10 @@ fn cmd_model(args: &Args) -> Result<(), String> {
     );
     let trace_path = maybe_start_trace(args);
     // The report is statistics only: no activation is computed.
-    let mut options = match &sim_cache {
+    let options = match &sim_cache {
         Some(cache) => RunOptions::new().timing_only().with_cache(cache.clone()),
         None => RunOptions::new().timing_only().uncached(),
     };
-    if parse_fidelity_arg(args)? == "fast" {
-        options = options.with_predictor(stonne::predict::Model::committed());
-        eprintln!(
-            "fast fidelity: cycles are the committed predictor's estimates (docs/PREDICT.md)"
-        );
-    }
     let run = run_model_simulated_with(
         &model,
         &params,
@@ -377,14 +353,6 @@ fn cmd_model(args: &Args) -> Result<(), String> {
         run.energy.rn_uj
     );
     Ok(())
-}
-
-/// Parses `--fidelity exact|fast` (the serve API's grammar), defaulting
-/// to exact.
-fn parse_fidelity_arg(args: &Args) -> Result<String, String> {
-    let fidelity = args.get_str("fidelity", "exact");
-    stonne_serve::parse_fidelity(&fidelity)?;
-    Ok(fidelity)
 }
 
 /// Parses the `--archs` / `--models` / `--sparsities` grid axes into a
@@ -427,7 +395,6 @@ fn build_sweep_request(args: &Args) -> Result<SweepRequest, String> {
         models,
         sparsities,
         seed: args.get_usize("seed", 1)? as u64,
-        fidelity: parse_fidelity_arg(args)?,
     })
 }
 
@@ -662,19 +629,43 @@ fn cmd_cluster(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Options shared by the single-run commands (`gemm`, `conv`, `model`):
+/// accelerator preset, operand generation, report switches.
+const RUN_KEYS: &str = "arch ms bw sparsity seed trace json counters energy cycle-breakdown";
+
+/// Runs `command`, which reads exactly the `--key`s listed beside it
+/// here; any other key is an error, not a silently ignored typo.
 fn dispatch(command: &str, args: &Args) -> Result<(), String> {
-    match command {
-        "gemm" => cmd_gemm(args),
-        "conv" => cmd_conv(args),
-        "model" => cmd_model(args),
-        "sweep" => cmd_sweep(args),
-        "cluster" => cmd_cluster(args),
-        "help" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`; try `help`")),
+    type Run = fn(&Args) -> Result<(), String>;
+    let (run, own, shared): (Run, &str, &str) = match command {
+        "gemm" => (cmd_gemm, "m n k", RUN_KEYS),
+        "conv" => (cmd_conv, "in-c out-c hw kernel stride pad groups", RUN_KEYS),
+        "model" => (cmd_model, "name scale sim-cache", RUN_KEYS),
+        "sweep" => (
+            cmd_sweep,
+            "archs models sparsities name seed store workers remote",
+            "",
+        ),
+        "cluster" => (
+            cmd_cluster,
+            "instances models classes requests rates batch policy dram sparsity name seed store \
+             remote",
+            "",
+        ),
+        "help" => (cmd_help, "", ""),
+        other => return Err(format!("unknown command `{other}`; try `help`")),
+    };
+    let known = own.split_whitespace().chain(shared.split_whitespace());
+    let unknown = |key: &&String| !known.clone().any(|k| k == *key);
+    if let Some(key) = args.map.keys().filter(unknown).min() {
+        return Err(format!("unknown option --{key} for {command}"));
     }
+    run(args)
+}
+
+fn cmd_help(_: &Args) -> Result<(), String> {
+    println!("{}", usage());
+    Ok(())
 }
 
 fn shell() -> Result<(), String> {
@@ -831,7 +822,35 @@ mod tests {
     #[test]
     fn unknown_command_is_reported() {
         assert!(dispatch("frobnicate", &args("")).is_err());
+        assert!(dispatch("frobnicate", &args("--m 4"))
+            .unwrap_err()
+            .contains("unknown command"));
         assert!(dispatch("help", &args("")).is_ok());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_per_command() {
+        // (command, options, the key the error names): a typo, the
+        // removed fidelity flag, keys that belong to another command.
+        for (command, options, key) in [
+            ("model", "--name alexnet --sparisty 0.9", "sparisty"),
+            ("model", "--fidelity fast", "fidelity"),
+            ("sweep", "--models alexnet --fidelity fast", "fidelity"),
+            ("gemm", "--m 8 --name demo", "name"),
+            ("sweep", "--arch maeri", "arch"),
+            ("cluster", "--workers 2", "workers"),
+            ("help", "--json", "json"),
+            ("gemm", "-- 8", ""),
+        ] {
+            let err = dispatch(command, &args(options)).unwrap_err();
+            assert_eq!(err, format!("unknown option --{key} for {command}"));
+        }
+        // Every key a command does read still gets through.
+        dispatch(
+            "gemm",
+            &args("--m 8 --n 8 --k 8 --arch maeri --ms 32 --bw 8 --sparsity 0.5 --seed 2 --json"),
+        )
+        .unwrap();
     }
 
     #[test]

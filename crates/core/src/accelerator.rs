@@ -8,7 +8,6 @@ use crate::engine::flexible::{self, AddrMap};
 use crate::engine::sparse::{self, IterationInfo, NaturalOrder, RowSchedule, SparseRun};
 use crate::engine::{pool, systolic};
 use crate::mapping::{LayerDims, Tile};
-use crate::predict::{predicted_stats, CyclePredictor, LayerFeatures};
 use crate::stats::SimStats;
 use crate::trace::{Component, Probe};
 use std::sync::Arc;
@@ -24,13 +23,6 @@ type Accounting = (SimStats, Vec<IterationInfo>);
 /// The record of an engine without packing info.
 fn plain(stats: SimStats) -> Accounting {
     (stats, Vec::new())
-}
-
-/// A layer's features with the multiplier count a predicted record
-/// reports for it: its MACs.
-fn with_macs(features: LayerFeatures) -> (LayerFeatures, u64) {
-    let macs = features.macs;
-    (features, macs)
 }
 
 /// A simulated DNN inference accelerator instance.
@@ -63,7 +55,6 @@ pub struct Stonne {
     cfg: Arc<str>,
     history: Vec<SimStats>,
     cache: Option<SimCache>,
-    predictor: Option<Arc<dyn CyclePredictor>>,
     intra_workers: usize,
     context: SimContext,
 }
@@ -81,7 +72,6 @@ impl Stonne {
             config,
             history: Vec::new(),
             cache: None,
-            predictor: None,
             intra_workers: 1,
             context: SimContext::new(),
         })
@@ -127,26 +117,6 @@ impl Stonne {
     pub fn with_cache(mut self, cache: SimCache) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// Attaches a [`CyclePredictor`] (fast fidelity): engine invocations
-    /// are replaced by a learned cycle estimate over the operation's
-    /// [`LayerFeatures`]. Functional outputs come from the engines'
-    /// functional kernels (bitwise identical to an exact run) and DRAM
-    /// stalls still apply; the stats invariants hold
-    /// (breakdown sums to `cycles`, `engine_invocations` is 0) but the
-    /// cycle counts are *approximations* — see `docs/PREDICT.md`. The
-    /// simulation cache is bypassed entirely: predicted results are
-    /// never memoized, so a cache attached alongside stays exact.
-    #[must_use]
-    pub fn with_predictor(mut self, predictor: Arc<dyn CyclePredictor>) -> Self {
-        self.predictor = Some(predictor);
-        self
-    }
-
-    /// The attached cycle predictor, if any (fast fidelity active).
-    pub fn predictor(&self) -> Option<&Arc<dyn CyclePredictor>> {
-        self.predictor.as_ref()
     }
 
     /// The attached simulation cache, if any.
@@ -216,25 +186,17 @@ impl Stonne {
     }
 
     /// Resolves a layer's accounting record — the one place that decides
-    /// whether the cycle-level walk runs: a predictor replaces it by an
-    /// estimate over `features` (never memoized; the closure also names
-    /// the multiplier count the record reports), without a cache it
-    /// always runs, a cache hit on `key` reuses the memoized record, and a
-    /// miss runs `walk` and memoizes the result. The output is not this
-    /// function's business: every caller computes it by the engine's
-    /// `functional` half, so all four outcomes yield the same bits.
+    /// whether the cycle-level walk runs: without a cache it always runs,
+    /// a cache hit on `key` reuses the memoized record, and a miss runs
+    /// `walk` and memoizes the result. The output is not this function's
+    /// business: every caller computes it by the engine's `functional`
+    /// half, so all three outcomes yield the same bits.
     fn accounting(
         &self,
         name: &str,
-        features: impl FnOnce() -> (LayerFeatures, u64),
         key: impl FnOnce() -> CacheKey,
         walk: impl FnOnce() -> Accounting,
     ) -> Accounting {
-        if let Some(p) = &self.predictor {
-            let (f, macs) = features();
-            let cycles = p.predict_cycles(&f);
-            return plain(predicted_stats(&self.config, name, cycles, macs));
-        }
         // The key of the entry to insert after a miss (`None`: no cache).
         let miss = match &self.cache {
             None => None,
@@ -262,7 +224,6 @@ impl Stonne {
     fn systolic_layer(&self, name: &str, m: usize, n: usize, k: usize) -> SimStats {
         let record = self.accounting(
             name,
-            || with_macs(LayerFeatures::systolic(&self.config, m, n, k)),
             || CacheKey::systolic(&self.cfg, m, n, k),
             || plain(systolic::accounting(&self.config, name, m, n, k)),
         );
@@ -274,7 +235,6 @@ impl Stonne {
         let (config, sim) = (&self.config, &self.context);
         let record = self.accounting(
             name,
-            || with_macs(LayerFeatures::dense(config, layer, tile, addrs)),
             || CacheKey::dense(&self.cfg, layer, tile, addrs),
             || plain(flexible::accounting(config, name, layer, tile, addrs, sim)),
         );
@@ -296,7 +256,6 @@ impl Stonne {
         let plan = sparse::Plan::new(config, a, n, schedule);
         let record = self.accounting(
             name,
-            || with_macs(LayerFeatures::spmm(config, a, n, b, schedule)),
             || CacheKey::spmm(config, &self.cfg, a, n, b, schedule),
             || sparse::accounting(config, name, &plan, n, b),
         );
@@ -372,9 +331,9 @@ impl Stonne {
 
     /// Times a GEMM `C = A (M×K) × B (K×N)` from its `(m, k, n)` extents:
     /// everything [`Stonne::run_gemm_scheduled`] does — engine selection,
-    /// layer cache, predictor, DRAM, history — except computing `C`. A
-    /// sparse controller needs `a` (the stationary weights' zero pattern);
-    /// dense controllers never look at it.
+    /// layer cache, DRAM, history — except computing `C`. A sparse
+    /// controller needs `a` (the stationary weights' zero pattern); dense
+    /// controllers never look at it.
     ///
     /// # Panics
     ///
@@ -446,9 +405,6 @@ impl Stonne {
                     // Exploration probes bypass the cache: candidate tiles
                     // are evaluated once and must not pollute the store.
                     cache: None,
-                    // The predictor carries over: fast-fidelity instances
-                    // explore the tile space at predictor speed too.
-                    predictor: self.predictor.clone(),
                     intra_workers: self.intra_workers,
                     // Candidates reuse this instance's scratch buffers.
                     context: self.context.clone(),
@@ -813,9 +769,6 @@ impl Stonne {
         let outputs = n * c * ((h - window) / stride + 1) * ((w - window) / stride + 1);
         let (stats, _) = self.accounting(
             name,
-            // Pool performs comparisons, not MACs: the multiplier counter
-            // stays 0 like the engine's.
-            || (LayerFeatures::pool(&self.config, shape, window, stride), 0),
             || CacheKey::pool(&self.cfg, shape, window, stride),
             || plain(pool::accounting(&self.config, name, outputs, window)),
         );
@@ -1043,15 +996,6 @@ mod tests {
         assert!(stats.cycles > 0);
     }
 
-    /// Cycle-per-MAC toy predictor for the fast-fidelity tests.
-    #[derive(Debug)]
-    struct MacRate(u64);
-    impl crate::predict::CyclePredictor for MacRate {
-        fn predict_cycles(&self, f: &crate::predict::LayerFeatures) -> u64 {
-            f.macs / self.0 + 5
-        }
-    }
-
     /// A random matrix, zeroed where `(r + c) % period == 0` (0: dense).
     fn masked(rows: usize, cols: usize, period: usize, rng: &mut SeededRng) -> Matrix {
         let mut m = Matrix::random(rows, cols, rng);
@@ -1111,16 +1055,12 @@ mod tests {
             let (hit_out, hit) = warm.run_gemm("g2", &a2, &b2);
             assert_eq!(hit.sim_cache_hits, 1, "{label}");
             assert_eq!(hit.engine_invocations, 0, "{label}");
-            let mut fast = sim().with_predictor(Arc::new(MacRate(8)));
-            let (fast_out, _) = fast.run_gemm("g2", &a2, &b2);
 
-            // Output bits across uncached / miss / hit / predicted; stats
-            // across uncached / miss / hit once the host counters are off.
-            for (out, how) in [(miss_out, "miss"), (hit_out, "hit"), (fast_out, "fast")] {
-                assert_eq!(out.as_slice(), ref_out.as_slice(), "{label}: {how} output");
-            }
+            // Output bits and — once the host counters are off — stats
+            // across uncached / miss / hit.
             reference.clear_host_counters();
-            for (mut stats, how) in [(miss, "miss"), (hit, "hit")] {
+            for (out, mut stats, how) in [(miss_out, miss, "miss"), (hit_out, hit, "hit")] {
+                assert_eq!(out.as_slice(), ref_out.as_slice(), "{label}: {how} output");
                 stats.clear_host_counters();
                 assert_eq!(stats, reference, "{label}: {how} stats");
             }
@@ -1213,84 +1153,6 @@ mod tests {
         assert_eq!(stats.engine_invocations, 1);
         assert_eq!(stats.sim_cache_hits, 3, "3 of 4 groups replay");
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn predictor_bypasses_engine_and_cache_on_all_presets() {
-        use std::sync::Arc;
-        let mut rng = SeededRng::new(21);
-        let a = Matrix::random(10, 20, &mut rng);
-        let b = Matrix::random(20, 6, &mut rng);
-        let reference = gemm_reference(&a, &b);
-        for cfg in presets() {
-            let name = cfg.name.clone();
-            let cache = crate::cache::SimCache::new();
-            let mut sim = Stonne::new(cfg)
-                .unwrap()
-                .with_cache(cache.clone())
-                .with_predictor(Arc::new(MacRate(8)));
-            let (out, stats) = sim.run_gemm("fast", &a, &b);
-            assert_slices_close(out.as_slice(), reference.as_slice());
-            assert_eq!(stats.engine_invocations, 0, "{name}");
-            assert_eq!(stats.sim_cache_misses + stats.sim_cache_hits, 0, "{name}");
-            assert_eq!(cache.len(), 0, "{name}: predicted runs are not memoized");
-            assert_eq!(stats.breakdown.total(), stats.cycles, "{name}");
-            assert!(stats.cycles > 0, "{name}");
-        }
-    }
-
-    #[test]
-    fn predictor_covers_conv_pool_and_spmm() {
-        use std::sync::Arc;
-        let geom = Conv2dGeom::new(3, 5, 3, 3, 1, 1, 1);
-        let mut rng = SeededRng::new(22);
-        let input = Tensor4::random(1, 3, 6, 6, &mut rng);
-        let weights = Tensor4::random(5, 3, 3, 3, &mut rng);
-        let reference = conv2d_reference(&input, &weights, &geom);
-        for cfg in presets() {
-            let mut sim = Stonne::new(cfg)
-                .unwrap()
-                .with_predictor(Arc::new(MacRate(4)));
-            let (out, stats) = sim.run_conv("conv", &input, &weights, &geom, None);
-            assert_slices_close(out.as_slice(), reference.as_slice());
-            assert_eq!(stats.engine_invocations, 0);
-            let (pout, pstats) = sim.run_maxpool("pool", &input, 2, 2);
-            assert_eq!(pout.shape(), (1, 3, 3, 3));
-            assert_eq!(pstats.engine_invocations, 0);
-            assert_eq!(pstats.breakdown.total(), pstats.cycles);
-        }
-        let mut rng = SeededRng::new(23);
-        let a = CsrMatrix::from_dense(&Matrix::random(8, 8, &mut rng));
-        let b = Matrix::random(8, 4, &mut rng);
-        let mut sigma = Stonne::new(AcceleratorConfig::sigma_like(64, 64))
-            .unwrap()
-            .with_predictor(Arc::new(MacRate(4)));
-        let (out, stats) = sigma.run_spmm("spmm", &a, &b);
-        assert_slices_close(
-            out.as_slice(),
-            stonne_tensor::spmm_reference(&a, &b).as_slice(),
-        );
-        assert_eq!(stats.engine_invocations, 0);
-    }
-
-    #[test]
-    fn predictor_still_pays_dram_stalls() {
-        use std::sync::Arc;
-        let mut rng = SeededRng::new(24);
-        let a = Matrix::random(16, 16, &mut rng);
-        let b = Matrix::random(16, 16, &mut rng);
-        let mut slow = AcceleratorConfig::maeri_like(64, 64).with_dram_modeling(true);
-        slow.dram.bandwidth_gbps_per_channel = 0.5;
-        slow.dram.channels = 1;
-        let mut sim = Stonne::new(slow)
-            .unwrap()
-            .with_predictor(Arc::new(MacRate(64)));
-        let (_, stats) = sim.run_gemm("g", &a, &b);
-        assert!(
-            stats.dram_stall_cycles > 0,
-            "DRAM applies outside prediction"
-        );
-        assert_eq!(stats.breakdown.total(), stats.cycles);
     }
 
     #[test]

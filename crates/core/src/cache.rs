@@ -163,28 +163,6 @@ impl CacheKey {
         format!("{self:?}")
     }
 
-    /// 64-bit digest of the key, for
-    /// [`LayerFeatures::key_digest`](crate::predict::LayerFeatures). A
-    /// plain GEMM's address map enters as the SipHash of its expansion —
-    /// how keys rendered it while maps were materialised: the committed
-    /// predictor's train/holdout split (`results/PREDICT_*.json`) is drawn
-    /// on these digests and has to keep reproducing byte for byte.
-    pub(crate) fn digest(&self) -> u64 {
-        let mut text = self.canonical();
-        if let KeyKind::Dense {
-            addrs: addrs @ AddrMap::Unique { len },
-            ..
-        } = &self.kind
-        {
-            let mut h = hasher();
-            len.hash(&mut h);
-            (0..*len as u32).for_each(|a| a.hash(&mut h));
-            let legacy = format!("addrs_hash: {}", h.finish());
-            text = text.replace(&format!("addrs: {addrs:?}"), &legacy);
-        }
-        crate::store::digest64(&text)
-    }
-
     pub(crate) fn systolic(cfg: &Arc<str>, m: usize, n: usize, k: usize) -> Self {
         let cfg = Arc::clone(cfg);
         let kind = KeyKind::Systolic { m, n, k };

@@ -47,10 +47,10 @@ use stonne_tensor::{fold_gemm, Conv2dGeom, Elem, Matrix};
 pub const PAD_ADDR: u32 = u32::MAX;
 
 /// Generator of a dense operand's row-major `K × N` Global-Buffer address
-/// map: what lowering, cache keys and predictor features carry. The map
-/// itself is expanded only inside the engine's `accounting`. Addresses
-/// are relative to the operand's base, so all groups of a convolution
-/// share one generator (multicast structure is shift-invariant).
+/// map: what lowering and cache keys carry. The map itself is expanded
+/// only inside the engine's `accounting`. Addresses are relative to the
+/// operand's base, so all groups of a convolution share one generator
+/// (multicast structure is shift-invariant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AddrMap {
     /// Every element is a distinct fetch (plain GEMM: no reuse, no padding).

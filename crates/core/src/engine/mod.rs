@@ -17,9 +17,9 @@
 //! reading a value (beyond a zero pattern, where timing depends on one)
 //! or writing an output. The public `run_*` entry points are the two
 //! composed. [`crate::Stonne`] lowers a layer from shapes, resolves its
-//! record — calling `accounting` only when no cache entry or predictor
-//! stands in for it — and calls `functional` only when the caller asked
-//! for the output (`run_*`, not `time_*`).
+//! record — calling `accounting` only when no cache entry stands in for
+//! it — and calls `functional` only when the caller asked for the output
+//! (`run_*`, not `time_*`).
 
 pub mod flexible;
 pub mod pool;

@@ -247,34 +247,6 @@ impl<'a> Plan<'a> {
     }
 }
 
-/// Closed-form cycle count of the weight-stationary sparse run from the
-/// controller's packing metadata alone: the uniform accounting walk,
-/// which never reads streaming values. `None` when the mapping takes a
-/// path that does (activation-sparsity mode), the input-stationary GEMV
-/// path, or needs a cluster-capable reduction network it does not have.
-///
-/// Feature extraction uses this as an exact analytical prior: it costs
-/// `O(nnz log nnz)` versus the engine's `O(nnz·n)`.
-pub(crate) fn ws_metadata_cycles(
-    config: &AcceleratorConfig,
-    a: &CsrMatrix,
-    n: usize,
-    schedule: &dyn RowSchedule,
-) -> Option<u64> {
-    let rn = ReductionNetwork::new(config.rn, config.ms_size, config.rn_bandwidth);
-    if config.exploit_activation_sparsity || !rn.supports_clusters() {
-        return None;
-    }
-    let plan = Plan::new(config, a, n, schedule);
-    if plan.input_stationary {
-        return None;
-    }
-    // A prior, not an executed operation: keep it off the trace timeline.
-    let (stats, _) =
-        crate::trace::suspended(|| weight_stationary_accounting(config, "", &plan, n, None));
-    Some(stats.cycles)
-}
-
 /// Runs `C = A_sparse (M×K) × B (K×N)` on the sparse composition.
 ///
 /// # Panics
@@ -854,12 +826,11 @@ mod tests {
         }
     }
 
-    /// The accounting half is a function of zero structure alone (same
-    /// CSR pattern and streaming zero mask, different values: no
-    /// statistic moves), and the predictor's metadata prior is that
-    /// walk's cycle count wherever the walk reads no streaming value.
+    /// The accounting half is a function of zero structure alone: same
+    /// CSR pattern and streaming zero mask, different values — no
+    /// statistic moves.
     #[test]
-    fn accounting_is_value_blind_and_backs_the_metadata_prior() {
+    fn accounting_is_value_blind() {
         let mut ragged = sparse_a(9, 40, 0.0, 41);
         let mut holes = sparse_a(6, 16, 0.3, 42);
         for c in 0..40 {
@@ -903,12 +874,6 @@ mod tests {
                     assert_eq!(one.stats, two.stats, "{label}");
                     assert_eq!(one.iterations, two.iterations, "{label}");
                     assert_ne!(one.output, two.output, "{label}: values did change");
-                    let prior = (!dual && !one.input_stationary).then_some(one.stats.cycles);
-                    assert_eq!(
-                        ws_metadata_cycles(&cfg, &csr, n, schedule),
-                        prior,
-                        "{label}"
-                    );
                 }
             }
         }

@@ -42,8 +42,6 @@
 //! * [`cache`] — the layer-simulation memoization cache ([`SimCache`]).
 //! * [`context`] — pooled engine scratch threaded through workers, plus
 //!   the flexible engine's class-collapse switch ([`SimContext`]).
-//! * [`predict`] — per-layer feature extraction and the
-//!   [`CyclePredictor`] interface behind the fast-fidelity mode.
 //! * [`store`] — the disk-persistent, content-addressed result store
 //!   backing the cache across processes ([`DiskStore`]).
 //! * [`checkpoint`] — deterministic model-run snapshots at layer
@@ -66,7 +64,6 @@ pub mod engine;
 pub mod mapping;
 pub mod networks;
 pub mod output;
-pub mod predict;
 pub mod stats;
 pub mod store;
 pub mod trace;
@@ -84,9 +81,6 @@ pub use engine::sparse::{IterationInfo, NaturalOrder, RowSchedule, SparseRun};
 pub use engine::systolic::expected_cycles as systolic_expected_cycles;
 pub use mapping::{candidate_tiles, LayerDims, MappingSignals, Tile};
 pub use output::{chrome_trace_json, counter_file, parse_counter_file, summary_json};
-pub use predict::{
-    gemm_features, pool_features, spmm_features, CyclePredictor, EngineKind, LayerFeatures,
-};
 pub use stats::{ActivityCounters, CycleBreakdown, SimStats};
 pub use store::{code_fingerprint, DiskStore, StoreCounters};
 pub use trace::{Component, Probe, Trace, TraceEvent};

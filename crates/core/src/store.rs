@@ -468,14 +468,6 @@ pub(crate) fn digest128(s: &str) -> String {
     )
 }
 
-/// 64-bit digest of a canonical key text (the first half of
-/// [`digest128`]). Used where a numeric digest is needed, e.g. the
-/// predictor's feature hashing and its deterministic train/holdout
-/// split.
-pub(crate) fn digest64(s: &str) -> u64 {
-    fnv1a(0xcbf2_9ce4_8422_2325, s.as_bytes())
-}
-
 /// FNV-1a over `bytes` from an explicit offset basis.
 fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {

@@ -9,7 +9,6 @@ use crate::params::ModelParams;
 use crate::value::Value;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use stonne_core::predict::CyclePredictor;
 use stonne_core::{
     AcceleratorConfig, ConfigError, ControllerKind, NaturalOrder, RowSchedule, SimCache,
     SimContext, SimStats, Stonne,
@@ -120,7 +119,7 @@ impl ModelRun {
 }
 
 /// Knobs of a simulated full-model run: layer-simulation memoization,
-/// host parallelism, checkpointing, fidelity.
+/// host parallelism, checkpointing.
 ///
 /// The default enables a fresh [`SimCache`] (repeated layer shapes — e.g.
 /// BERT's 12 identical encoders — simulate once and replay bitwise
@@ -133,7 +132,6 @@ pub struct RunOptions {
     parallel: bool,
     checkpoint: Option<(usize, PathBuf)>,
     resume: Option<PathBuf>,
-    predictor: Option<Arc<dyn CyclePredictor>>,
     context: Option<SimContext>,
     timing_only: bool,
 }
@@ -145,7 +143,6 @@ impl Default for RunOptions {
             parallel: false,
             checkpoint: None,
             resume: None,
-            predictor: None,
             context: None,
             timing_only: false,
         }
@@ -230,27 +227,6 @@ impl RunOptions {
     pub fn resume_from(mut self, dir: impl Into<PathBuf>) -> Self {
         self.resume = Some(dir.into());
         self
-    }
-
-    /// Runs every offloaded layer at fast fidelity: the predictor
-    /// estimates cycles instead of the cycle-level engines
-    /// (`stats.engine_invocations` stays 0), while layer outputs are
-    /// still computed exactly. Predicted stats are never memoized, so a
-    /// cache attached alongside keeps only exact entries.
-    ///
-    /// Checkpointed runs ([`RunOptions::checkpoint_every`] /
-    /// [`RunOptions::resume_from`]) ignore the predictor and stay exact:
-    /// a checkpoint's state hash certifies cycle-level simulation, and a
-    /// predicted prefix would make the resumed totals unverifiable.
-    #[must_use]
-    pub fn with_predictor(mut self, predictor: Arc<dyn CyclePredictor>) -> Self {
-        self.predictor = Some(predictor);
-        self
-    }
-
-    /// The attached cycle predictor, when fast fidelity is enabled.
-    pub fn predictor_handle(&self) -> Option<&Arc<dyn CyclePredictor>> {
-        self.predictor.as_ref()
     }
 
     /// Uses an explicit (possibly shared) [`SimContext`] — its pooled
@@ -381,18 +357,14 @@ pub fn run_model_simulated_with(
 ) -> Result<ModelRun, ConfigError> {
     let energy_model = EnergyModel::for_config(&config);
     let ms_size = config.ms_size;
-    // A checkpoint's state hash covers the outputs and certifies
-    // cycle-level simulation: checkpointed runs compute every activation
-    // and ignore the predictor.
+    // A checkpoint's state hash covers the outputs: checkpointed runs
+    // compute every activation.
     let checkpointed = options.checkpoint.is_some() || options.resume.is_some();
     let mut sim = Stonne::new(config)?
         .with_intra_tiles(options.worker_budget())
         .with_context(options.context.clone().unwrap_or_default());
     if let Some(cache) = options.cache.clone() {
         sim = sim.with_cache(cache);
-    }
-    if let Some(predictor) = options.predictor.clone().filter(|_| !checkpointed) {
-        sim = sim.with_predictor(predictor);
     }
     if options.timing_only && !checkpointed && !timing_needs_values(model, sim.config()) {
         time_graph(model, params, input, &mut sim, schedule.as_ref());

@@ -11,10 +11,9 @@
 //!
 //! Running a point is two steps: `build_inputs` generates what does not
 //! depend on the architecture (model graph, pruned weights, input
-//! sample), and `run_point_on` simulates one architecture on such a
-//! set, at exact or fast fidelity. [`run_point`] and its variants do both
-//! for a single point; the job executor does the first step once per
-//! `(model, scale, sparsity, seed)` and the second once per point.
+//! sample), and `run_point_on` simulates one architecture on such a set.
+//! The job executor does the first step once per `(model, scale,
+//! sparsity, seed)` and the second once per point.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -72,12 +71,6 @@ pub struct SweepRequest {
     /// deterministically).
     #[serde(default)]
     pub seed: u64,
-    /// Run fidelity: `"exact"` (or empty, the default) simulates every
-    /// point cycle-level; `"fast"` runs the grid through the committed
-    /// cycle predictor and re-scores only the Pareto frontier with the
-    /// engine (see `docs/PREDICT.md`).
-    #[serde(default)]
-    pub fidelity: String,
 }
 
 /// One fully-resolved simulation point of an expanded sweep.
@@ -127,15 +120,6 @@ pub struct PointResult {
     pub breakdown: CycleBreakdown,
     /// Energy breakdown (µJ).
     pub energy: EnergyBreakdown,
-    /// `"exact"` when `cycles` comes from the cycle-level engines,
-    /// `"fast"` when it is the committed predictor's estimate.
-    #[serde(default)]
-    pub fidelity: String,
-    /// The predictor's estimate for this point (0 on a purely exact
-    /// run). On a re-scored Pareto-frontier point both fields are set:
-    /// `cycles` is exact, this is what fast mode had claimed.
-    #[serde(default)]
-    pub predicted_cycles: u64,
 }
 
 /// Parses an architecture spec into a validated configuration.
@@ -170,20 +154,6 @@ pub fn parse_scale(name: &str) -> Result<ModelScale, String> {
     stonne_cluster::spec::parse_scale(name)
 }
 
-/// Parses a request's fidelity string: empty and `"exact"` mean exact,
-/// `"fast"` selects the committed predictor.
-///
-/// # Errors
-///
-/// Returns a message naming the unknown fidelity.
-pub fn parse_fidelity(fidelity: &str) -> Result<bool, String> {
-    match fidelity {
-        "" | "exact" => Ok(false),
-        "fast" => Ok(true),
-        other => Err(format!("unknown fidelity `{other}` (exact|fast)")),
-    }
-}
-
 /// An expanded sweep grid: the points to run plus how many raw grid
 /// cells were collapsed away by axis deduplication.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,7 +178,6 @@ pub struct Expansion {
 /// Returns a message describing the first invalid axis value, an empty
 /// axis, or a (deduplicated) grid larger than [`MAX_POINTS`].
 pub fn expand(request: &SweepRequest) -> Result<Expansion, String> {
-    parse_fidelity(&request.fidelity)?;
     if request.archs.is_empty() {
         return Err("request needs at least one arch".to_owned());
     }
@@ -289,43 +258,6 @@ pub fn expand(request: &SweepRequest) -> Result<Expansion, String> {
     })
 }
 
-/// Runs one sweep point through the shared cache and returns its result
-/// plus the run's aggregate stats (whose cache/store counters the job
-/// executor accumulates into job status).
-///
-/// # Errors
-///
-/// Returns a message when the point's configuration is invalid (only
-/// possible for points constructed outside [`expand`]).
-pub fn run_point(point: &SweepPoint, cache: &SimCache) -> Result<(PointResult, SimStats), String> {
-    run_point_ctx(point, cache, &SimContext::new())
-}
-
-/// [`run_point`] threaded through a shared [`SimContext`], so pooled
-/// engine scratch survives across calls instead of being torn down with
-/// each point's simulator instances.
-///
-/// # Errors
-///
-/// Returns a message when the point's configuration is invalid.
-pub fn run_point_ctx(
-    point: &SweepPoint,
-    cache: &SimCache,
-    context: &SimContext,
-) -> Result<(PointResult, SimStats), String> {
-    run_point_on(point, &build_inputs(point)?, Some((cache, context)))
-}
-
-/// Runs one sweep point at fast fidelity: every offloaded layer's
-/// cycles come from the committed predictor instead of the engines.
-///
-/// # Errors
-///
-/// Returns a message when the point's configuration is invalid.
-pub fn run_point_fast(point: &SweepPoint) -> Result<(PointResult, SimStats), String> {
-    run_point_on(point, &build_inputs(point)?, None)
-}
-
 /// Generates the architecture-independent inputs of `point`, a pure
 /// function of its `(model, scale, sparsity, seed)`: every architecture
 /// of a sweep can run on one shared set (see [`crate::job`]).
@@ -338,18 +270,20 @@ pub(crate) fn build_inputs(point: &SweepPoint) -> Result<ModelInputs, String> {
 }
 
 /// Runs `point` on inputs built by [`build_inputs`] for it (or for any
-/// point with the same model, scale, sparsity and seed). `exact` carries
-/// the cache and context of a cycle-level run; `None` selects fast
-/// fidelity, which runs uncached — predicted stats are not memoizable,
-/// and a fast point must never seed the exact result store.
+/// point with the same model, scale, sparsity and seed) through the
+/// shared `cache`, with `context`'s pooled engine scratch. Returns the
+/// point's result plus the run's aggregate stats (whose cache/store
+/// counters the job executor accumulates into job status).
 ///
 /// # Errors
 ///
-/// Returns a message when the point's architecture is invalid.
+/// Returns a message when the point's architecture is invalid (only
+/// possible for points constructed outside [`expand`]).
 pub(crate) fn run_point_on(
     point: &SweepPoint,
     inputs: &ModelInputs,
-    exact: Option<(&SimCache, &SimContext)>,
+    cache: &SimCache,
+    context: &SimContext,
 ) -> Result<(PointResult, SimStats), String> {
     let cfg = config_for(&ArchSpec {
         arch: point.arch.clone(),
@@ -357,17 +291,11 @@ pub(crate) fn run_point_on(
         bw: point.bw,
     })?;
     // A point result is cycles, counters and energy — never a tensor —
-    // so neither fidelity computes activations.
-    let options = match exact {
-        Some((cache, context)) => RunOptions::new()
-            .timing_only()
-            .with_cache(cache.clone())
-            .with_context(context.clone()),
-        None => RunOptions::new()
-            .timing_only()
-            .uncached()
-            .with_predictor(stonne::predict::Model::committed()),
-    };
+    // so no activation is computed.
+    let options = RunOptions::new()
+        .timing_only()
+        .with_cache(cache.clone())
+        .with_context(context.clone());
     let run = run_model_simulated_with(
         &inputs.model,
         &inputs.params,
@@ -388,8 +316,6 @@ pub(crate) fn run_point_on(
         layers: run.layers.len(),
         breakdown: total.breakdown,
         energy: run.energy,
-        fidelity: if exact.is_some() { "exact" } else { "fast" }.to_owned(),
-        predicted_cycles: if exact.is_some() { 0 } else { total.cycles },
     };
     Ok((result, total))
 }
@@ -419,7 +345,6 @@ mod tests {
             }],
             sparsities: vec![0.0, 0.5],
             seed: 3,
-            fidelity: String::new(),
         }
     }
 
@@ -514,11 +439,13 @@ mod tests {
 
     #[test]
     fn run_point_is_deterministic_and_cache_invariant() {
-        let points = expand(&request()).unwrap().points;
-        let (cold, _) = run_point(&points[1], &SimCache::new()).unwrap();
+        let point = &expand(&request()).unwrap().points[1];
+        let inputs = build_inputs(point).unwrap();
+        let run = |cache: &SimCache| run_point_on(point, &inputs, cache, &SimContext::new());
+        let (cold, _) = run(&SimCache::new()).unwrap();
         let shared = SimCache::new();
-        let (warm_a, _) = run_point(&points[1], &shared).unwrap();
-        let (warm_b, stats_b) = run_point(&points[1], &shared).unwrap();
+        let (warm_a, _) = run(&shared).unwrap();
+        let (warm_b, stats_b) = run(&shared).unwrap();
         assert_eq!(cold, warm_a);
         assert_eq!(cold, warm_b);
         assert_eq!(stats_b.engine_invocations, 0, "second run fully cached");

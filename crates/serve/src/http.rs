@@ -14,17 +14,26 @@
 //! unbounded bodies without chunked framing: the body simply ends when
 //! the connection does.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// Default upper bound on accepted request bodies (a full 4096-point
 /// sweep request is far below this). Override per server with
 /// [`crate::Server::with_body_limit`].
 pub const DEFAULT_MAX_BODY: usize = 4 << 20;
 
+/// Upper bound on the request line plus all headers, in bytes.
+const MAX_HEAD: u64 = 16 << 10;
+
+/// Longest a connection may sit silent while its request is being read.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// A request-parse failure carrying the HTTP status it should produce:
-/// `411` for a body-bearing method without `Content-Length`, `413` for a
-/// body over the configured limit, `400` for everything else.
+/// `408` for a client that stops sending mid-request, `411` for a
+/// body-bearing method without `Content-Length`, `413` for a body over
+/// the configured limit, `431` for a request line plus headers over
+/// 16 KiB, `400` for everything else.
 #[derive(Debug, PartialEq, Eq)]
 pub struct HttpError {
     /// HTTP status code for the error response.
@@ -38,6 +47,18 @@ impl HttpError {
         Self {
             status: 400,
             message: message.into(),
+        }
+    }
+
+    /// A failed socket read: `408` when the read timeout expired (which
+    /// the platform reports as `WouldBlock` or `TimedOut`), else `400`.
+    fn read_failed(e: &std::io::Error) -> Self {
+        match e.kind() {
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => Self {
+                status: 408,
+                message: "timed out waiting for the request".to_owned(),
+            },
+            _ => Self::bad_request(e.to_string()),
         }
     }
 }
@@ -66,20 +87,44 @@ impl Request {
 /// # Errors
 ///
 /// Returns an [`HttpError`] on malformed request lines/headers (`400`),
-/// a `POST`/`PUT` without `Content-Length` (`411` — previously the body
-/// was silently treated as empty), or a declared body over `max_body`
-/// (`413` — rejected before allocating, so a hostile `Content-Length`
-/// cannot reserve memory).
+/// a client silent for 10 s before the request is complete (`408` — it
+/// would otherwise pin its connection thread forever), a `POST`/`PUT`
+/// without `Content-Length` (`411` — previously the body was silently
+/// treated as empty), a declared body over `max_body` (`413` — rejected
+/// before allocating, so a hostile `Content-Length` cannot reserve
+/// memory), or a request line plus headers over 16 KiB (`431` — a line
+/// that never ends cannot grow a buffer without limit).
 pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| HttpError::bad_request(e.to_string()))?,
-    );
+    read_request_within(stream, max_body, REQUEST_TIMEOUT)
+}
+
+/// [`read_request`] with an explicit read timeout, which stays on the
+/// socket (responses only write).
+fn read_request_within(
+    stream: &mut TcpStream,
+    max_body: usize,
+    timeout: Duration,
+) -> Result<Request, HttpError> {
+    let io_error = |e: std::io::Error| HttpError::bad_request(e.to_string());
+    stream.set_read_timeout(Some(timeout)).map_err(io_error)?;
+    let mut reader = BufReader::new(stream.try_clone().map_err(io_error)?);
+    // The head is read through a byte budget; a line cut short by it has
+    // no terminator.
+    let mut head = reader.by_ref().take(MAX_HEAD);
+    let mut read_head_line = |line: &mut String| {
+        let n = head
+            .read_line(line)
+            .map_err(|e| HttpError::read_failed(&e))?;
+        if head.limit() == 0 && !line.ends_with('\n') {
+            return Err(HttpError {
+                status: 431,
+                message: format!("request line and headers exceed {MAX_HEAD} bytes"),
+            });
+        }
+        Ok(n)
+    };
     let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| HttpError::bad_request(e.to_string()))?;
+    read_head_line(&mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -93,9 +138,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     let mut content_length: Option<usize> = None;
     loop {
         let mut header = String::new();
-        let n = reader
-            .read_line(&mut header)
-            .map_err(|e| HttpError::bad_request(e.to_string()))?;
+        let n = read_head_line(&mut header)?;
         let header = header.trim_end();
         if n == 0 || header.is_empty() {
             break;
@@ -129,7 +172,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     let mut body = vec![0u8; content_length];
     reader
         .read_exact(&mut body)
-        .map_err(|e| HttpError::bad_request(e.to_string()))?;
+        .map_err(|e| HttpError::read_failed(&e))?;
     Ok(Request {
         method,
         path,
@@ -144,8 +187,10 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         411 => "Length Required",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     }
 }
@@ -242,12 +287,22 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    fn parse_raw(raw: &'static str, max_body: usize) -> Result<Request, HttpError> {
+    fn parse_raw(raw: &str, max_body: usize) -> Result<Request, HttpError> {
+        parse_raw_within(raw, max_body, REQUEST_TIMEOUT)
+    }
+
+    /// Parses `raw` as sent by a client that then keeps its connection
+    /// open, silent, until the server side has returned.
+    fn parse_raw_within(
+        raw: &str,
+        max_body: usize,
+        timeout: Duration,
+    ) -> Result<Request, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let t = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            read_request(&mut stream, max_body)
+            read_request_within(&mut stream, max_body, timeout)
         });
         let mut client = TcpStream::connect(addr).unwrap();
         client.write_all(raw.as_bytes()).unwrap();
@@ -300,6 +355,65 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.status, 400);
+    }
+
+    #[test]
+    fn silent_client_is_408() {
+        let timeout = Duration::from_millis(50);
+        // Nothing at all, half a request line, headers that never end, a
+        // body shorter than declared.
+        for raw in [
+            "",
+            "GET /heal",
+            "GET /healthz HTTP/1.1\r\nHost: t\r\n",
+            "POST /v1/sweeps HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\"",
+        ] {
+            let err = parse_raw_within(raw, DEFAULT_MAX_BODY, timeout).unwrap_err();
+            assert_eq!(err.status, 408, "{raw:?}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn oversized_head_is_431() {
+        let limit = MAX_HEAD as usize;
+        // A request line that never ends, and headers that add up.
+        let endless = format!("GET /{}", "a".repeat(limit));
+        let headers = format!(
+            "GET /healthz HTTP/1.1\r\n{}\r\n",
+            "X-Padding: 0123456789abcdef\r\n".repeat(limit / 28 + 1)
+        );
+        for raw in [endless, headers] {
+            let err = parse_raw(&raw, DEFAULT_MAX_BODY).unwrap_err();
+            assert_eq!(err.status, 431, "{}", err.message);
+        }
+        // A head of exactly the limit passes.
+        let line = "GET /healthz HTTP/1.1\r\n";
+        let fits = format!("{line}X: {}\r\n\r\n", "a".repeat(limit - line.len() - 7));
+        assert_eq!(fits.len(), limit);
+        assert_eq!(parse_raw(&fits, DEFAULT_MAX_BODY).unwrap().path, "/healthz");
+    }
+
+    /// Neither a connection that never speaks nor one that never stops
+    /// keeps a live server from answering the next client.
+    #[test]
+    fn server_outlives_silent_and_endless_clients() {
+        let manager = crate::job::JobManager::new(1, None);
+        let handle = crate::server::Server::bind("127.0.0.1:0", manager)
+            .and_then(crate::server::Server::start)
+            .unwrap();
+        let _silent = TcpStream::connect(handle.addr()).unwrap();
+        // Exactly the head budget, so the server leaves nothing unread
+        // and its reply is not cut off by a connection reset.
+        let mut endless = TcpStream::connect(handle.addr()).unwrap();
+        endless
+            .write_all("a".repeat(MAX_HEAD as usize).as_bytes())
+            .unwrap();
+        let mut reply = String::new();
+        endless.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 431 Request Header"), "{reply}");
+        let client = crate::client::Client::new(&handle.addr().to_string());
+        assert!(client.get("/healthz").unwrap().contains("\"ok\":true"));
+        handle.shutdown();
     }
 
     #[test]

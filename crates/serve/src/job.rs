@@ -22,8 +22,7 @@
 //! worker is alive at a time; results still *stream* in `index` order.
 
 use crate::api::{
-    build_inputs, expand, parse_fidelity, run_point_on, Expansion, PointResult, SweepPoint,
-    SweepRequest,
+    build_inputs, expand, run_point_on, Expansion, PointResult, SweepPoint, SweepRequest,
 };
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
@@ -50,21 +49,6 @@ pub struct JobCounters {
     pub resumed: u64,
 }
 
-/// One Pareto-frontier point of a fast-fidelity job after its exact
-/// re-score: the predictor's claim next to the engine's answer.
-#[derive(Debug, Clone, Serialize)]
-pub struct FrontierPoint {
-    /// Grid index of the point.
-    pub index: usize,
-    /// What the committed predictor estimated.
-    pub predicted_cycles: u64,
-    /// What the cycle-level engine measured on the re-score.
-    pub exact_cycles: u64,
-    /// Signed predicted-vs-exact delta in centi-percent of the exact
-    /// cycles (`(predicted - exact) / exact`, x 10000).
-    pub delta_cpct: i64,
-}
-
 /// A snapshot of one job's externally visible state.
 #[derive(Debug, Clone, Serialize)]
 pub struct JobStatus {
@@ -88,11 +72,6 @@ pub struct JobStatus {
     pub store: StoreCounters,
     /// The store namespace this server writes to.
     pub fingerprint: String,
-    /// Fast-fidelity jobs only: the Pareto frontier (min cycles x min
-    /// energy over the fast grid), each point re-scored by the exact
-    /// engine. Empty until the job is done, and always empty on exact
-    /// jobs.
-    pub frontier: Vec<FrontierPoint>,
 }
 
 /// Mutable progress shared between workers and readers.
@@ -107,7 +86,6 @@ struct Progress {
     /// Append-only `(event, json-data)` log driving the SSE endpoint.
     events: Vec<(String, String)>,
     counters: JobCounters,
-    frontier: Vec<FrontierPoint>,
     done: bool,
     /// One slot per distinct input key, in order of first occurrence.
     inputs: Vec<InputSlot>,
@@ -144,18 +122,14 @@ pub struct Job {
     /// Per-job cache: fresh memory, shared disk (see module docs).
     cache: SimCache,
     /// Per-job simulation context: pooled engine scratch shared by every
-    /// worker running this job's points (and by the frontier re-score),
-    /// instead of being torn down per point.
+    /// worker running this job's points, instead of being torn down per
+    /// point.
     context: SimContext,
     /// Scoped store handle whose counters are this job's alone.
     store: Option<DiskStore>,
-    /// Fast fidelity: points run through the committed predictor and
-    /// only the Pareto frontier is re-scored exactly.
-    fast: bool,
     /// `points[i]` runs on the inputs of slot `slot_of[i]`.
     slot_of: Vec<usize>,
-    /// Input sets generated so far, a fast job's frontier re-score
-    /// included (a fully resumed job generates none).
+    /// Input sets generated so far (a fully resumed job generates none).
     pub(crate) inputs_built: AtomicUsize,
 }
 
@@ -201,7 +175,6 @@ impl Job {
             cache,
             context: SimContext::new(),
             store: scoped,
-            fast: parse_fidelity(&request.fidelity).unwrap_or(false),
             slot_of,
             inputs_built: AtomicUsize::new(0),
         }
@@ -213,11 +186,6 @@ impl Job {
         let mut p = self.progress.lock().unwrap();
         let slot = &mut p.inputs[self.slot_of[index]];
         Arc::clone(slot.cell.get_or_insert_with(Arc::default))
-    }
-
-    /// Whether this job runs at fast (predictor) fidelity.
-    pub fn is_fast(&self) -> bool {
-        self.fast
     }
 
     /// A snapshot of this job's status.
@@ -238,7 +206,6 @@ impl Job {
                 .map(DiskStore::counters)
                 .unwrap_or_default(),
             fingerprint: code_fingerprint().to_owned(),
-            frontier: p.frontier.clone(),
         }
     }
 
@@ -261,15 +228,9 @@ impl Job {
     pub fn result_at(&self, index: usize) -> Option<PointResult> {
         let mut p = self.progress.lock().unwrap();
         loop {
-            // Fast jobs rewrite their Pareto frontier with exact re-scores
-            // just before `done`; hold the stream until results are final.
-            if !self.fast || p.done {
-                if let Some(r) = p.results.get(index)?.as_ref() {
-                    return Some(r.clone());
-                }
-            }
-            if p.done {
-                return p.results.get(index)?.as_ref().cloned();
+            let result = p.results.get(index)?;
+            if result.is_some() || p.done {
+                return result.clone();
             }
             p = self.changed.wait(p).unwrap();
         }
@@ -336,8 +297,8 @@ impl Job {
 
     /// Records one finished point, emits its event, drops the point's
     /// input set if it was the last to need it, and — on the last point —
-    /// re-scores the Pareto frontier (fast jobs), marks the job done and
-    /// emits the `done` event carrying the final status.
+    /// marks the job done and emits the `done` event carrying the final
+    /// status.
     fn record(&self, index: usize, outcome: Result<(PointResult, stonne::core::SimStats), String>) {
         // Taken out under the lock, freed after it.
         let mut released = None;
@@ -375,15 +336,7 @@ impl Job {
         };
         drop(released);
         if finished {
-            // The grid is fully accounted for, so no other worker will
-            // touch this job: the re-score runs outside the lock while
-            // readers keep seeing `running`.
-            if self.fast {
-                self.rescore_frontier();
-            }
-            let mut p = self.progress.lock().unwrap();
-            p.done = true;
-            drop(p);
+            self.progress.lock().unwrap().done = true;
             // Status is read outside the progress lock; the job is
             // already `done`, so the snapshot is final.
             let status = serde_json::to_string(&self.status())
@@ -395,63 +348,6 @@ impl Job {
                 .push(("done".to_owned(), status));
         }
         self.changed.notify_all();
-    }
-
-    /// Fast jobs' exact leg: picks the Pareto frontier (minimal cycles x
-    /// energy) of the fast grid and runs each frontier point through the
-    /// cycle-level engine, replacing its result (exact `cycles`,
-    /// predictor's claim kept in `predicted_cycles`) and recording the
-    /// deltas the report ships. Exact frontier results are persisted to
-    /// the store; the fast bulk never is.
-    fn rescore_frontier(&self) {
-        let snapshot: Vec<PointResult> = {
-            let p = self.progress.lock().unwrap();
-            p.results.iter().flatten().cloned().collect()
-        };
-        // The grid's input sets were released as its points finished; the
-        // frontier rebuilds one per input key, not one per point.
-        let mut inputs: HashMap<usize, Result<ModelInputs, String>> = HashMap::new();
-        for grid_index in pareto_frontier(&snapshot) {
-            let point = &self.points[grid_index];
-            let inputs = inputs.entry(self.slot_of[grid_index]).or_insert_with(|| {
-                self.inputs_built.fetch_add(1, Ordering::Relaxed);
-                build_inputs(point)
-            });
-            let outcome = match inputs {
-                Ok(inputs) => run_point_on(point, inputs, Some((&self.cache, &self.context))),
-                Err(message) => Err(format!("inputs: {message}")),
-            };
-            match outcome {
-                Ok((mut exact, stats)) => {
-                    let predicted = snapshot
-                        .iter()
-                        .find(|r| r.point.index == grid_index)
-                        .map_or(0, |r| r.cycles);
-                    exact.predicted_cycles = predicted;
-                    self.persist_point(&exact);
-                    let entry = FrontierPoint {
-                        index: grid_index,
-                        predicted_cycles: predicted,
-                        exact_cycles: exact.cycles,
-                        delta_cpct: delta_cpct(predicted, exact.cycles),
-                    };
-                    let mut p = self.progress.lock().unwrap();
-                    p.counters.engine_invocations += stats.engine_invocations;
-                    p.counters.sim_cache_hits += stats.sim_cache_hits;
-                    p.counters.sim_cache_misses += stats.sim_cache_misses;
-                    let data = serde_json::to_string(&exact)
-                        .unwrap_or_else(|e| format!("{{\"error\":\"serialize: {e}\"}}"));
-                    p.results[grid_index] = Some(exact);
-                    p.frontier.push(entry);
-                    p.events.push(("frontier".to_owned(), data));
-                }
-                Err(message) => {
-                    let mut p = self.progress.lock().unwrap();
-                    p.errors
-                        .push(format!("frontier re-score {grid_index}: {message}"));
-                }
-            }
-        }
     }
 }
 
@@ -591,15 +487,10 @@ fn worker_loop(inner: &ManagerInner) {
         let job = &task.job;
         let point = &job.points[task.index];
         // Resume first: a previous process may have persisted this exact
-        // point already. Fast jobs skip the store both ways — a
-        // predicted result must never masquerade as a persisted exact
-        // one, and restoring exact blobs into a fast grid would make the
-        // frontier deltas meaningless.
-        if !job.fast {
-            if let Some(result) = job.load_point(point) {
-                job.record_resumed(task.index, result);
-                continue;
-            }
+        // point already.
+        if let Some(result) = job.load_point(point) {
+            job.record_resumed(task.index, result);
+            continue;
         }
         let cell = job.input_cell(task.index);
         let inputs = cell.get_or_init(|| {
@@ -607,17 +498,12 @@ fn worker_loop(inner: &ManagerInner) {
             catching(|| build_inputs(point))
         });
         let outcome = match inputs {
-            Ok(inputs) => {
-                let exact = (!job.fast).then_some((&job.cache, &job.context));
-                catching(|| run_point_on(point, inputs, exact))
-            }
+            Ok(inputs) => catching(|| run_point_on(point, inputs, &job.cache, &job.context)),
             Err(message) => Err(format!("inputs: {message}")),
         };
         drop(cell);
         if let Ok((result, _)) = &outcome {
-            if !job.fast {
-                job.persist_point(result);
-            }
+            job.persist_point(result);
         }
         job.record(task.index, outcome);
     }
@@ -634,38 +520,6 @@ fn catching<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
             .unwrap_or_else(|| "engine panicked".to_owned());
         Err(format!("panic: {msg}"))
     })
-}
-
-/// Signed `(predicted - exact) / exact` in centi-percent, saturating at
-/// zero exact cycles.
-fn delta_cpct(predicted: u64, exact: u64) -> i64 {
-    if exact == 0 {
-        return 0;
-    }
-    let diff = predicted as i128 - exact as i128;
-    (diff * 10_000 / exact as i128) as i64
-}
-
-/// Grid indices of the Pareto frontier over (cycles, energy), both
-/// minimized: a point survives when no other result is at least as good
-/// on both axes and strictly better on one. Ascending index order.
-fn pareto_frontier(results: &[PointResult]) -> Vec<usize> {
-    let mut frontier: Vec<usize> = Vec::new();
-    for a in results {
-        let ea = a.energy.total_uj();
-        let dominated = results.iter().any(|b| {
-            let eb = b.energy.total_uj();
-            b.point.index != a.point.index
-                && b.cycles <= a.cycles
-                && eb <= ea
-                && (b.cycles < a.cycles || eb < ea)
-        });
-        if !dominated {
-            frontier.push(a.point.index);
-        }
-    }
-    frontier.sort_unstable();
-    frontier
 }
 
 #[cfg(test)]
@@ -694,7 +548,6 @@ mod tests {
             }],
             sparsities: vec![0.0],
             seed: 11,
-            fidelity: String::new(),
         }
     }
 
@@ -821,7 +674,9 @@ mod tests {
             .points
             .iter()
             .map(|p| {
-                let (result, _) = crate::api::run_point(p, &SimCache::new()).unwrap();
+                let inputs = build_inputs(p).unwrap();
+                let (cache, context) = (SimCache::new(), SimContext::new());
+                let (result, _) = run_point_on(p, &inputs, &cache, &context).unwrap();
                 serde_json::to_string(&result).unwrap()
             })
             .collect();
@@ -835,29 +690,6 @@ mod tests {
             assert_eq!(job.status().failed, 0);
             manager.shutdown();
         }
-    }
-
-    /// A fast job's exact leg shares too: the frontier re-score builds
-    /// one input set per input key on the frontier, not one per point.
-    #[test]
-    fn frontier_rescore_builds_one_input_set_per_key() {
-        let mut request = shared_request();
-        request.fidelity = "fast".into();
-        let manager = JobManager::new(2, None);
-        let job = manager.submit(&request).unwrap();
-        job.wait_done();
-        let frontier = job.status().frontier;
-        let keys: std::collections::HashSet<usize> =
-            frontier.iter().map(|f| job.slot_of[f.index]).collect();
-        assert!(!frontier.is_empty() && job.errors().is_empty());
-        // Two sets for the fast grid, then one per frontier key.
-        assert_eq!(job.inputs_built.load(Ordering::Relaxed), 2 + keys.len());
-        for f in &frontier {
-            let (exact, _) = crate::api::run_point(&job.points[f.index], &SimCache::new()).unwrap();
-            assert_eq!(f.exact_cycles, exact.cycles, "point {}", f.index);
-            assert_eq!(job.result_at(f.index).unwrap().cycles, exact.cycles);
-        }
-        manager.shutdown();
     }
 
     #[test]

@@ -62,10 +62,7 @@ pub mod http;
 pub mod job;
 pub mod server;
 
-pub use api::{
-    expand, parse_fidelity, run_point, run_point_fast, ArchSpec, Expansion, ModelSel, PointResult,
-    SweepPoint, SweepRequest,
-};
+pub use api::{expand, ArchSpec, Expansion, ModelSel, PointResult, SweepPoint, SweepRequest};
 pub use client::Client;
-pub use job::{FrontierPoint, Job, JobManager, JobStatus};
+pub use job::{Job, JobManager, JobStatus};
 pub use server::{Server, ServerHandle};

@@ -29,7 +29,6 @@ fn sweep() -> SweepRequest {
         }],
         sparsities: vec![0.0],
         seed: 7,
-        fidelity: String::new(),
     }
 }
 
@@ -301,99 +300,42 @@ fn body_limits_and_length_requirements_are_enforced() {
     handle.shutdown();
 }
 
-/// The fast-fidelity round trip: a `fidelity: "fast"` sweep runs its
-/// grid through the committed predictor (no engine invocations for the
-/// bulk), then re-scores the Pareto frontier with the cycle-level
-/// engine. Frontier results must carry exact cycles — byte-identical to
-/// the same point of an exact sweep — with the predictor's claim and
-/// the delta reported alongside.
+/// There is one fidelity: a body that still carries the removed
+/// `"fidelity"` key is read like any body with an unknown key — accepted,
+/// run cycle-level, and answered with the same bytes as without it.
 #[test]
-fn fast_sweep_rescores_its_pareto_frontier_exactly() {
+fn a_leftover_fidelity_key_changes_nothing() {
     let manager = JobManager::new(2, None);
     let handle = Server::bind("127.0.0.1:0", manager)
         .and_then(Server::start)
         .expect("bind server");
     let client = Client::new(&handle.addr().to_string());
 
-    let mut exact_request = sweep();
-    exact_request.fidelity = "exact".into();
-    let (exact_job, exact_lines) = {
-        let (job, points) = client.submit(&exact_request).expect("submit exact");
-        let lines = client.stream_results(&job, |_| {}).expect("stream");
-        assert_eq!(lines.len(), points);
-        (job, lines)
+    let plain = serde_json::to_string(&sweep()).unwrap();
+    let keyed = format!("{{\"fidelity\":\"fast\",{}", &plain[1..]);
+    let run = |body: &str| {
+        let (status, response) = client.request("POST", "/v1/sweeps", body).unwrap();
+        assert_eq!(status, 202, "{body}: {response}");
+        let accepted: serde_json::Value = serde_json::from_str(&response).unwrap();
+        let job = accepted.get("job").and_then(|j| j.as_str()).unwrap();
+        let lines = client.stream_results(job, |_| {}).expect("stream results");
+        (job_status(&client, job), lines)
     };
-    let exact_status = job_status(&client, &exact_job);
-    assert!(counter(&exact_status, "counters", "engine_invocations") > 0);
-    assert_eq!(
-        exact_status
-            .get("frontier")
-            .and_then(|f| f.as_array())
-            .map(Vec::len),
-        Some(0),
-        "exact jobs report no frontier"
-    );
+    let (plain_status, plain_lines) = run(&plain);
+    let (keyed_status, keyed_lines) = run(&keyed);
+    assert_eq!(plain_lines.len(), 2);
+    assert_eq!(keyed_lines, plain_lines);
+    assert!(counter(&keyed_status, "counters", "engine_invocations") > 0);
 
-    let mut fast_request = sweep();
-    fast_request.fidelity = "fast".into();
-    let (fast_job, fast_lines) = {
-        let (job, points) = client.submit(&fast_request).expect("submit fast");
-        let lines = client.stream_results(&job, |_| {}).expect("stream");
-        assert_eq!(lines.len(), points);
-        (job, lines)
-    };
-    let fast_status = job_status(&client, &fast_job);
-    let frontier = fast_status
-        .get("frontier")
-        .and_then(|f| f.as_array())
-        .expect("fast job reports a frontier")
-        .clone();
-    assert!(!frontier.is_empty(), "a non-empty grid has a frontier");
-
-    let parse = |lines: &[String]| -> Vec<serde_json::Value> {
-        lines
-            .iter()
-            .map(|l| serde_json::from_str(l).expect("result json"))
-            .collect()
-    };
-    let exact_results = parse(&exact_lines);
-    let fast_results = parse(&fast_lines);
-    let frontier_indices: Vec<usize> = frontier
-        .iter()
-        .map(|f| f.get("index").and_then(|v| v.as_u64()).unwrap() as usize)
-        .collect();
-
-    for (i, (exact, fast)) in exact_results.iter().zip(&fast_results).enumerate() {
-        let fast_cycles = fast.get("cycles").and_then(|v| v.as_u64()).unwrap();
-        let exact_cycles = exact.get("cycles").and_then(|v| v.as_u64()).unwrap();
-        assert!(fast_cycles > 0);
-        if frontier_indices.contains(&i) {
-            // Re-scored: exact cycles, predictor's claim alongside.
-            assert_eq!(fast.get("fidelity").and_then(|v| v.as_str()), Some("exact"));
-            assert_eq!(fast_cycles, exact_cycles, "frontier point {i} is exact");
-            let predicted = fast
-                .get("predicted_cycles")
-                .and_then(|v| v.as_u64())
-                .unwrap();
-            assert!(predicted > 0, "frontier point {i} keeps the fast claim");
-        } else {
-            assert_eq!(fast.get("fidelity").and_then(|v| v.as_str()), Some("fast"));
+    for line in &keyed_lines {
+        let result: serde_json::Value = serde_json::from_str(line).unwrap();
+        assert!(result.get("cycles").is_some(), "{line}");
+        for gone in ["fidelity", "predicted_cycles"] {
+            assert!(result.get(gone).is_none(), "{gone} in {line}");
         }
     }
-
-    // The frontier deltas connect the two runs.
-    for f in &frontier {
-        let exact_cycles = f.get("exact_cycles").and_then(|v| v.as_u64()).unwrap();
-        let index = f.get("index").and_then(|v| v.as_u64()).unwrap() as usize;
-        let reference = exact_results[index]
-            .get("cycles")
-            .and_then(|v| v.as_u64())
-            .unwrap();
-        assert_eq!(
-            exact_cycles, reference,
-            "frontier re-score is the engine's answer"
-        );
-        assert!(f.get("delta_cpct").is_some());
+    for status in [&plain_status, &keyed_status] {
+        assert!(status.get("frontier").is_none(), "{status:?}");
     }
     handle.shutdown();
 }

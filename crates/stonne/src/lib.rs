@@ -15,7 +15,6 @@
 //! | [`dram`] | `stonne-dram` | HBM2 bandwidth/latency + double buffering |
 //! | [`snapea`] | `stonne-snapea` | use case B: SNAPEA back-end extension |
 //! | [`sched`] | `stonne-sched` | use case C: filter scheduling front-end extension |
-//! | [`predict`] | `stonne-predict` | learned cycle predictor (fast fidelity) distilled from the engines |
 //!
 //! # Quick start
 //!
@@ -66,7 +65,6 @@ pub use stonne_dram as dram;
 pub use stonne_energy as energy;
 pub use stonne_models as models;
 pub use stonne_nn as nn;
-pub use stonne_predict as predict;
 pub use stonne_sched as sched;
 pub use stonne_snapea as snapea;
 pub use stonne_tensor as tensor;

@@ -77,7 +77,6 @@ struct Accumulator {
     /// one bit for bit.
     maeri_divs: Vec<(u64, u64)>,
     sigma_divs: Vec<(u64, u64)>,
-    predictor_divs: Vec<(u64, u64)>,
 }
 
 impl Accumulator {
@@ -89,7 +88,6 @@ impl Accumulator {
             failure_records: Vec::new(),
             maeri_divs: Vec::new(),
             sigma_divs: Vec::new(),
-            predictor_divs: Vec::new(),
         }
     }
 
@@ -103,9 +101,6 @@ impl Accumulator {
         }
         if let Some(d) = check.sigma_dense {
             self.sigma_divs.push((index, d.to_bits()));
-        }
-        if let Some(d) = check.predictor {
-            self.predictor_divs.push((index, d.to_bits()));
         }
         for outcome in &check.outcomes {
             let slot = ORACLES
@@ -154,11 +149,6 @@ impl Accumulator {
             .iter()
             .map(|(_, b)| f64::from_bits(*b))
             .collect();
-        let predictor: Vec<f64> = self
-            .predictor_divs
-            .iter()
-            .map(|(_, b)| f64::from_bits(*b))
-            .collect();
         let campaign = vec![
             average_check(
                 "maeri_full_bw_avg_divergence",
@@ -169,11 +159,6 @@ impl Accumulator {
                 "sigma_dense_avg_divergence",
                 &sigma,
                 tolerance::SIGMA_DENSE_AVG_MAX_PCT,
-            ),
-            average_check(
-                "predictor_avg_divergence",
-                &predictor,
-                tolerance::PREDICTOR_AVG_MAX_PCT,
             ),
         ];
 
@@ -252,7 +237,6 @@ pub fn run_shard(cfg: CampaignConfig, shard_index: u64, shard_count: u64) -> Sha
         worst_divergence_cpct: acc.worst_cpct,
         maeri_divergence_bits: acc.maeri_divs,
         sigma_divergence_bits: acc.sigma_divs,
-        predictor_divergence_bits: acc.predictor_divs,
         failure_records: acc.failure_records,
         wall_time_ms: start.elapsed().as_millis() as u64,
     }
@@ -308,8 +292,6 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<VerifyReport, String> {
         }
         acc.maeri_divs.extend_from_slice(&s.maeri_divergence_bits);
         acc.sigma_divs.extend_from_slice(&s.sigma_divergence_bits);
-        acc.predictor_divs
-            .extend_from_slice(&s.predictor_divergence_bits);
         acc.failure_records.extend_from_slice(&s.failure_records);
     }
     // Restore the monolithic walk order. Each sample lives wholly in one
@@ -317,7 +299,6 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<VerifyReport, String> {
     // the sample index reproduces the monolithic sequence exactly.
     acc.maeri_divs.sort_by_key(|(index, _)| *index);
     acc.sigma_divs.sort_by_key(|(index, _)| *index);
-    acc.predictor_divs.sort_by_key(|(index, _)| *index);
     acc.failure_records.sort_by_key(|f| f.sample_index);
 
     let cfg = CampaignConfig {

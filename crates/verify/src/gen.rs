@@ -170,33 +170,6 @@ pub enum Workload {
         /// Number of shards to split into.
         shards: u64,
     },
-    /// One held-out workload for the committed cycle predictor
-    /// (`crates/predict`): the exact engine labels the sample and the
-    /// committed `stonne-predict-model/1` artifact must land within the
-    /// regime tolerance — plus a miniature re-train proving training is
-    /// byte-deterministic on this host.
-    PredictorHoldout {
-        /// Workload-class selector: 0 = systolic, 1 = flexible,
-        /// 2 = sparse.
-        class_sel: u8,
-        /// Multiplier count (the PE-array side for the systolic class).
-        ms: usize,
-        /// GEMM M.
-        m: usize,
-        /// GEMM N.
-        n: usize,
-        /// GEMM K.
-        k: usize,
-        /// Zero fraction of the stationary operand in percent (sparse
-        /// class only).
-        sparsity_pct: u32,
-        /// `true` selects the learner regime (output-stationary dataflow
-        /// for the flexible class, activation-sparsity mode for the
-        /// sparse one) where the predictor's prior is first-order and the
-        /// boosted stumps carry the correction; `false` stays in the
-        /// prior-mirrored regime the predictor must reproduce exactly.
-        learner: bool,
-    },
 }
 
 impl Workload {
@@ -215,7 +188,6 @@ impl Workload {
             Workload::IntraLayerParallel { .. } => "intra_tile_parallel",
             Workload::CheckpointResume { .. } => "checkpoint_resume",
             Workload::ShardMerge { .. } => "shard_merge",
-            Workload::PredictorHoldout { .. } => "predictor_holdout",
         }
     }
 }
@@ -324,7 +296,7 @@ pub fn generate(campaign_seed: u64, index: u64) -> Workload {
             k: 8 + rng.index(48),
             workers: worker_counts[rng.index(worker_counts.len())],
         }
-    } else if roll < 86 {
+    } else if roll < 92 {
         let window = 2 + rng.index(2);
         let stride = 1 + rng.index(2);
         Workload::Pool {
@@ -332,31 +304,6 @@ pub fn generate(campaign_seed: u64, index: u64) -> Workload {
             hw: window + 2 + rng.index(14),
             window,
             stride,
-        }
-    } else if roll < 92 {
-        // Class mix mirrors the predictor's own training campaign:
-        // systolic is always prior-mirrored, flexible and sparse split
-        // 2:1 mirrored:learner, shapes stay inside the trained size band.
-        let class_sel = rng.index(3) as u8;
-        let ms = match class_sel {
-            0 => [4usize, 8, 16][rng.index(3)],
-            1 => [32usize, 64, 128][rng.index(3)],
-            _ => [64usize, 128][rng.index(2)],
-        };
-        let learner = class_sel > 0 && rng.index(3) == 2;
-        let sparsity_pct = if class_sel == 2 {
-            [0u32, 30, 60, 85][rng.index(4)]
-        } else {
-            0
-        };
-        Workload::PredictorHoldout {
-            class_sel,
-            ms,
-            m: 4 + rng.index(92),
-            n: 4 + rng.index(92),
-            k: 8 + rng.index(88),
-            sparsity_pct,
-            learner,
         }
     } else if roll < 94 {
         Workload::ModelRun {
@@ -470,9 +417,47 @@ mod tests {
             "intra_tile_parallel",
             "checkpoint_resume",
             "shard_merge",
-            "predictor_holdout",
         ] {
             assert!(seen.contains(class), "class {class} never generated");
+        }
+    }
+
+    /// The class roll is a sample's first draw, so handing the rolls
+    /// 86..92 to the pool class moves no sample outside that band: these
+    /// seed-7 samples are the ones the campaign generated before.
+    #[test]
+    fn samples_outside_the_reassigned_band_are_unchanged() {
+        let pinned = [
+            (1, "SparseDenseEquiv { ms: 64, m: 17, n: 29, k: 44 }"),
+            (3, "SystolicGemm { dim: 4, m: 19, n: 28, k: 66 }"),
+            (4, "ModelRun { model: Bert, arch: 2 }"),
+            (5, "TileCacheBitwise { arch: 1, m: 20, n: 32, k: 36 }"),
+            (7, "FlexibleGemm { ms: 32, m: 3, n: 12, k: 39 }"),
+            (10, "Pool { c: 5, hw: 14, window: 2, stride: 1 }"),
+            (
+                12,
+                "SparseSpmm { ms: 64, m: 22, n: 30, k: 30, sparsity_pct: 90 }",
+            ),
+            (14, "CacheReplay { arch: 1, m: 29, n: 16, k: 4 }"),
+            (
+                15,
+                "ShardMerge { samples: 5, seed_offset: 14477, shards: 4 }",
+            ),
+            (
+                18,
+                "IntraLayerParallel { ms: 64, m: 34, n: 9, k: 42, workers: 8 }",
+            ),
+        ];
+        for (index, workload) in pinned {
+            assert_eq!(
+                format!("{:?}", generate(7, index)),
+                workload,
+                "sample {index}"
+            );
+        }
+        // Rolls 90, 91, 88 and 88: inside the band.
+        for index in [0, 24, 42, 57] {
+            assert_eq!(generate(7, index).class(), "pool", "sample {index}");
         }
     }
 

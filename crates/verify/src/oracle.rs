@@ -62,13 +62,10 @@ pub struct SampleCheck {
     pub maeri_full_bw: Option<f64>,
     /// Divergence from the SIGMA model on a dense execution, if measured.
     pub sigma_dense: Option<f64>,
-    /// Divergence of the committed cycle predictor from the exact engine,
-    /// if this sample measured one (feeds the campaign-average check).
-    pub predictor: Option<f64>,
 }
 
 /// The fixed oracle roster, in report order.
-pub const ORACLES: [&str; 19] = [
+pub const ORACLES: [&str; 17] = [
     "systolic_exact_cycles",
     "flexible_maeri_band",
     "sigma_dense_band",
@@ -83,8 +80,6 @@ pub const ORACLES: [&str; 19] = [
     "resume_vs_straight_bitwise",
     "shard_merge_bitwise",
     "cluster_serial_parallel_bitwise",
-    "predictor_error_bounded",
-    "predictor_train_deterministic",
     "functional_outputs",
     "breakdown_sums_to_cycles",
     "stats_energy_invariants",
@@ -202,7 +197,6 @@ fn check_systolic(dim: usize, m: usize, n: usize, k: usize, seed: u64) -> Sample
         outcomes,
         maeri_full_bw: None,
         sigma_dense: None,
-        predictor: None,
     }
 }
 
@@ -246,7 +240,6 @@ fn check_flexible(ms: usize, m: usize, n: usize, k: usize, seed: u64) -> SampleC
         outcomes,
         maeri_full_bw,
         sigma_dense: None,
-        predictor: None,
     }
 }
 
@@ -303,7 +296,6 @@ fn check_sparse_spmm(
         outcomes,
         maeri_full_bw: None,
         sigma_dense,
-        predictor: None,
     }
 }
 
@@ -357,7 +349,6 @@ fn check_sparse_dense_equiv(ms: usize, m: usize, n: usize, k: usize, seed: u64) 
         outcomes,
         maeri_full_bw: None,
         sigma_dense: None,
-        predictor: None,
     }
 }
 
@@ -412,7 +403,6 @@ fn check_cache_replay(arch: u8, m: usize, n: usize, k: usize, seed: u64) -> Samp
         outcomes,
         maeri_full_bw: None,
         sigma_dense: None,
-        predictor: None,
     }
 }
 
@@ -496,7 +486,6 @@ fn check_tile_cache_bitwise(arch: u8, m: usize, n: usize, k: usize, seed: u64) -
         outcomes,
         maeri_full_bw: None,
         sigma_dense: None,
-        predictor: None,
     }
 }
 
@@ -524,7 +513,6 @@ fn check_pool(c: usize, hw: usize, window: usize, stride: usize, seed: u64) -> S
         outcomes,
         maeri_full_bw: None,
         sigma_dense: None,
-        predictor: None,
     }
 }
 
@@ -635,7 +623,6 @@ fn check_model_run(model: stonne::models::ModelId, arch: u8, seed: u64) -> Sampl
         outcomes,
         maeri_full_bw: None,
         sigma_dense: None,
-        predictor: None,
     }
 }
 
@@ -692,7 +679,6 @@ fn check_intra_tile_parallel(
         outcomes,
         maeri_full_bw: None,
         sigma_dense: None,
-        predictor: None,
     }
 }
 
@@ -811,7 +797,6 @@ fn check_cluster_scenario(
         outcomes,
         maeri_full_bw: None,
         sigma_dense: None,
-        predictor: None,
     }
 }
 
@@ -896,7 +881,6 @@ fn check_checkpoint_resume(
         outcomes,
         maeri_full_bw: None,
         sigma_dense: None,
-        predictor: None,
     }
 }
 
@@ -939,126 +923,6 @@ fn check_shard_merge(samples: u64, seed_offset: u64, shards: u64, seed: u64) -> 
         outcomes,
         maeri_full_bw: None,
         sigma_dense: None,
-        predictor: None,
-    }
-}
-
-/// Label a held-out workload with the exact engine and demand the
-/// committed predictor artifact land within the regime tolerance —
-/// near-exact where the analytical prior mirrors the engine walk, within
-/// the learner ceiling where the boosted stumps carry the correction —
-/// and that a miniature re-train is byte-deterministic on this host.
-#[allow(clippy::too_many_arguments)]
-fn check_predictor_holdout(
-    class_sel: u8,
-    ms: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    sparsity_pct: u32,
-    learner: bool,
-    seed: u64,
-) -> SampleCheck {
-    use stonne::core::predict::CyclePredictor;
-    use stonne::predict::{prior_mirrored, train, Model, TrainConfig};
-
-    let mut outcomes = Vec::new();
-    let mut rng = SeededRng::new(seed ^ 0x9ed1);
-    let bw = (ms / 4).max(1);
-    let (cfg, features, exact) = match class_sel % 3 {
-        0 => {
-            let cfg = AcceleratorConfig::tpu_like(ms);
-            let a = Matrix::random(m, k, &mut rng);
-            let b = Matrix::random(k, n, &mut rng);
-            let f = stonne::core::gemm_features(&cfg, &a, &b);
-            let mut sim = Stonne::new(cfg.clone()).expect("preset is valid");
-            let (_, stats) = sim.run_gemm("fuzz_predict", &a, &b);
-            (cfg, f, stats.cycles)
-        }
-        1 => {
-            let mut cfg = AcceleratorConfig::maeri_like(ms, bw);
-            if learner {
-                cfg.dataflow = stonne::core::Dataflow::OutputStationary;
-            }
-            let a = Matrix::random(m, k, &mut rng);
-            let b = Matrix::random(k, n, &mut rng);
-            let f = stonne::core::gemm_features(&cfg, &a, &b);
-            let mut sim = Stonne::new(cfg.clone()).expect("preset is valid");
-            let (_, stats) = sim.run_gemm("fuzz_predict", &a, &b);
-            (cfg, f, stats.cycles)
-        }
-        _ => {
-            let mut cfg = AcceleratorConfig::sigma_like(ms, bw);
-            if learner {
-                cfg.exploit_activation_sparsity = true;
-            }
-            let a = Matrix::random_sparse(m, k, f64::from(sparsity_pct) / 100.0, &mut rng);
-            let b = Matrix::random(k, n, &mut rng);
-            let csr = CsrMatrix::from_dense(&a);
-            let f = stonne::core::spmm_features(&cfg, &csr, &b);
-            let mut sim = Stonne::new(cfg.clone()).expect("preset is valid");
-            let (_, stats) = sim.run_spmm("fuzz_predict", &csr, &b);
-            (cfg, f, stats.cycles)
-        }
-    };
-    let _ = cfg;
-
-    let predicted = Model::committed().predict_cycles(&features);
-    let mirrored = prior_mirrored(&features);
-    let d = divergence_pct(predicted, exact.max(1));
-    let limit = if mirrored {
-        tol::PREDICTOR_MIRRORED_MAX_PCT
-    } else {
-        tol::PREDICTOR_SAMPLE_MAX_PCT
-    };
-    push(
-        &mut outcomes,
-        "predictor_error_bounded",
-        d.abs() <= limit,
-        Some(d),
-        format!(
-            "predicted {} vs exact {} ({:+.2}%, {} regime, limit {:.0}%)",
-            predicted,
-            exact,
-            d,
-            if mirrored { "mirrored" } else { "learner" },
-            limit
-        ),
-    );
-
-    // Two miniature training campaigns from a sample-derived seed must
-    // produce byte-identical artifacts — the same contract CI enforces
-    // on the committed campaign, exercised continuously at fuzz scale.
-    let tiny = TrainConfig {
-        samples: 10,
-        seed: seed ^ 0x7a17,
-        rounds: 3,
-        shrinkage_pct: 30,
-        bound_cpct: u64::MAX,
-    };
-    let (model_a, report_a) = train(&tiny);
-    let (model_b, report_b) = train(&tiny);
-    let models_equal = model_a.to_json() == model_b.to_json();
-    let reports_equal = report_a.canonical_json() == report_b.canonical_json();
-    push(
-        &mut outcomes,
-        "predictor_train_deterministic",
-        models_equal && reports_equal,
-        None,
-        format!(
-            "seed {:#x}: model_bytes_equal {} report_bytes_equal {} ({} stumps)",
-            tiny.seed,
-            models_equal,
-            reports_equal,
-            model_a.stumps.len()
-        ),
-    );
-
-    SampleCheck {
-        outcomes,
-        maeri_full_bw: None,
-        sigma_dense: None,
-        predictor: Some(d),
     }
 }
 
@@ -1121,15 +985,6 @@ pub fn check_workload(workload: &Workload, seed: u64) -> SampleCheck {
             seed_offset,
             shards,
         } => check_shard_merge(samples, seed_offset, shards, seed),
-        Workload::PredictorHoldout {
-            class_sel,
-            ms,
-            m,
-            n,
-            k,
-            sparsity_pct,
-            learner,
-        } => check_predictor_holdout(class_sel, ms, m, n, k, sparsity_pct, learner, seed),
     }
 }
 
@@ -1235,70 +1090,6 @@ mod tests {
         };
         let r = check_workload(&w, 0xbeef);
         assert!(r.outcomes.iter().all(|o| o.passed), "{:?}", r.outcomes);
-    }
-
-    #[test]
-    fn predictor_holdout_oracle_accepts_the_committed_model() {
-        // One sample per (class, regime) pair the generator can emit.
-        let cases = [
-            (0u8, 8usize, 0u32, false),
-            (1, 64, 0, false),
-            (1, 64, 0, true),
-            (2, 64, 30, false),
-            (2, 64, 30, true),
-        ];
-        for (class_sel, ms, sparsity_pct, learner) in cases {
-            let w = Workload::PredictorHoldout {
-                class_sel,
-                ms,
-                m: 24,
-                n: 18,
-                k: 32,
-                sparsity_pct,
-                learner,
-            };
-            let r = check_workload(&w, 0x9ed1c7);
-            assert!(
-                r.outcomes.iter().all(|o| o.passed),
-                "class {class_sel} learner {learner}: {:?}",
-                r.outcomes
-            );
-            assert!(r.predictor.is_some(), "sample must feed the average check");
-        }
-    }
-
-    #[test]
-    #[ignore = "diagnostic: prints committed-predictor divergence extremes over the fuzz space"]
-    fn debug_predictor_divergence_spread() {
-        let mut worst_mirrored = 0.0f64;
-        let mut worst_learner = 0.0f64;
-        let mut sum = 0.0f64;
-        let mut count = 0u64;
-        for i in 0..400u64 {
-            let w = crate::gen::generate(0x9ed1, i);
-            let Workload::PredictorHoldout { learner, .. } = w else {
-                continue;
-            };
-            let seed = crate::gen::sample_seed(0x9ed1, i);
-            let r = check_workload(&w, seed);
-            let d = r.predictor.expect("holdout samples measure divergence");
-            sum += d.abs();
-            count += 1;
-            if learner {
-                worst_learner = worst_learner.max(d.abs());
-            } else {
-                worst_mirrored = worst_mirrored.max(d.abs());
-            }
-            if d.abs() > 100.0 {
-                println!("  outlier i={i} {w:?}: {d:+.2}%");
-            }
-        }
-        println!(
-            "predictor divergence over {count} samples: avg {:.2}% worst mirrored {:.4}% worst learner {:.2}%",
-            sum / count.max(1) as f64,
-            worst_mirrored,
-            worst_learner
-        );
     }
 
     #[test]

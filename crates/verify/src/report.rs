@@ -82,9 +82,8 @@ pub struct VerifyReport {
 }
 
 /// Schema tag of [`ShardReport`] files, bumped on layout changes so a
-/// merge never silently combines incompatible shards. `/2` added
-/// `predictor_divergence_bits` alongside the new predictor oracles.
-pub const SHARD_SCHEMA: &str = "stonne-verify-shard/2";
+/// merge never silently combines incompatible shards.
+pub const SHARD_SCHEMA: &str = "stonne-verify-shard/3";
 
 /// The intermediate artifact of `verify --shard i/n`: everything the
 /// merge needs to rebuild the monolithic [`VerifyReport`] byte for byte.
@@ -119,9 +118,6 @@ pub struct ShardReport {
     pub maeri_divergence_bits: Vec<(u64, u64)>,
     /// `(sample_index, f64 bits)` of each SIGMA dense divergence.
     pub sigma_divergence_bits: Vec<(u64, u64)>,
-    /// `(sample_index, f64 bits)` of each committed-predictor divergence
-    /// this shard measured on its predictor-holdout samples.
-    pub predictor_divergence_bits: Vec<(u64, u64)>,
     /// Shrunk failures found by this shard.
     pub failure_records: Vec<FailureRecord>,
     /// Wall time of this shard in milliseconds (nondeterministic).
@@ -247,7 +243,6 @@ mod tests {
             worst_divergence_cpct: vec![103],
             maeri_divergence_bits: vec![(5, 1.03f64.to_bits())],
             sigma_divergence_bits: vec![],
-            predictor_divergence_bits: vec![(7, 0.25f64.to_bits())],
             failure_records: vec![],
             wall_time_ms: 9,
         };

@@ -244,45 +244,6 @@ pub fn candidates(w: &Workload) -> Vec<Workload> {
                 });
             }
         }
-        Workload::PredictorHoldout {
-            class_sel,
-            ms,
-            m,
-            n,
-            k,
-            sparsity_pct,
-            learner,
-        } => {
-            let again = |ms, m, n, k, sparsity_pct| Workload::PredictorHoldout {
-                class_sel,
-                ms,
-                m,
-                n,
-                k,
-                sparsity_pct,
-                learner,
-            };
-            let steps: &[usize] = match class_sel % 3 {
-                0 => &[4, 8, 16],
-                1 => &[32, 64, 128],
-                _ => &[64, 128],
-            };
-            if let Some(s) = stepped_down(ms, steps) {
-                out.push(again(s, m, n, k, sparsity_pct));
-            }
-            if let Some(v) = halved(m, 4) {
-                out.push(again(ms, v, n, k, sparsity_pct));
-            }
-            if let Some(v) = halved(n, 4) {
-                out.push(again(ms, m, v, k, sparsity_pct));
-            }
-            if let Some(v) = halved(k, 8) {
-                out.push(again(ms, m, n, v, sparsity_pct));
-            }
-            if let Some(s) = stepped_down(sparsity_pct as usize, &[0, 30, 60, 85]) {
-                out.push(again(ms, m, n, k, s as u32));
-            }
-        }
         Workload::ClusterScenario {
             arch_a,
             arch_b,
@@ -539,21 +500,6 @@ mod tests {
                     rate_deci: 20,
                 },
                 |w| matches!(w, Workload::ClusterScenario { requests, .. } if *requests >= 4),
-            ),
-            (
-                Workload::PredictorHoldout {
-                    class_sel: 2,
-                    ms: 128,
-                    m: 60,
-                    n: 44,
-                    k: 72,
-                    sparsity_pct: 60,
-                    learner: true,
-                },
-                |w| {
-                    matches!(w, Workload::PredictorHoldout { k, sparsity_pct, .. }
-                        if *k >= 20 && *sparsity_pct >= 30)
-                },
             ),
         ];
         let classes: std::collections::BTreeSet<&str> =

@@ -71,28 +71,6 @@ pub const SIGMA_SPARSE90_MIN_PCT: f64 = 5.0;
 /// other in both directions.
 pub const SPARSE_VS_DENSE_CYCLE_FACTOR_MAX: f64 = 4.0;
 
-/// Committed cycle predictor on a *prior-mirrored* held-out sample
-/// (systolic, weight-stationary flexible, metadata-mirrored sparse): the
-/// prior replays the engine's cycle walk exactly, so the predictor may
-/// deviate only by the log/exp round-trip of the residual path — well
-/// under a cycle in practice, bounded at 1 % for integer-rounding slack.
-pub const PREDICTOR_MIRRORED_MAX_PCT: f64 = 1.0;
-
-/// Committed cycle predictor on a *learner-regime* held-out sample
-/// (output-stationary flexible, activation-sparsity sparse): the prior is
-/// first-order and the boosted stumps carry the correction, so single
-/// awkward shapes may still miss widely. This is the per-sample ceiling;
-/// the campaign average is gated much tighter
-/// ([`PREDICTOR_AVG_MAX_PCT`]) and the committed training report gates
-/// the per-class held-out *median* at 10 %.
-pub const PREDICTOR_SAMPLE_MAX_PCT: f64 = 250.0;
-
-/// Campaign-average |divergence| of the committed predictor over every
-/// predictor-holdout sample, mirrored and learner regimes pooled. The
-/// `debug_predictor_divergence_spread` diagnostic measured ~7 % average
-/// (worst learner sample ~41 %) on the seeded fuzz distribution.
-pub const PREDICTOR_AVG_MAX_PCT: f64 = 25.0;
-
 /// Converts a percentage to the integer centi-percent stored in
 /// `verify_report.json` (keeps the report byte-deterministic across
 /// serializers, which format floats differently).

@@ -22,10 +22,6 @@
 #   tools/offline-check.sh cluster         # the fixed-seed cluster scenario
 #                                          # vs its golden fixture (mirrors
 #                                          # CI's `cluster` job)
-#   tools/offline-check.sh predict         # train the cycle predictor twice,
-#                                          # byte-diff the runs and the
-#                                          # committed artifacts (mirrors
-#                                          # CI's `predict` job)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -67,13 +63,12 @@ if [ "$#" -eq 0 ]; then
 fi
 
 # `ci` runs the gating steps of .github/workflows/ci.yml job by job —
-# lint, build-test, verify, serve, cluster, predict — so a green local
-# run predicts a green CI run instead of drifting from it. Left out:
-# the MSRV matrix and the aarch64/cross legs (second toolchain or host),
-# the non-gating perf job, artifact uploads, and the repeat runs whose
-# check another step here already makes (verify's second campaign run is
-# covered by the shard/merge byte-diff, predict's second training by the
-# byte-compare against the committed artifacts).
+# lint, build-test, verify, serve, cluster — so a green local run
+# predicts a green CI run instead of drifting from it. Left out: the MSRV
+# matrix and the aarch64/cross legs (second toolchain or host), the
+# non-gating perf job, artifact uploads, and the repeat runs whose check
+# another step here already makes (verify's second campaign run is
+# covered by the shard/merge byte-diff).
 if [ "$1" = "ci" ]; then
     run() { echo "offline-check: $*" >&2; "$@"; }
     run cargo --offline fmt --all --check
@@ -108,14 +103,6 @@ if [ "$1" = "ci" ]; then
     run cargo --offline test --release -p stonne-serve --test server_roundtrip
     run cargo --offline test --release -p stonne-serve --lib killed_server_resumes
     run cargo --offline test --release -p stonne-cluster
-    # The predict job's determinism half at CI-PR scale: the committed
-    # model and report must be reproducible byte-for-byte from source.
-    predict_dir=$(mktemp -d)
-    run cargo --offline run --release -p stonne-predict --bin train -- \
-        --out "$predict_dir/model.json" --report "$predict_dir/report.json"
-    run cmp "$predict_dir/model.json" results/PREDICT_model.json
-    run cmp "$predict_dir/report.json" results/PREDICT_report.json
-    rm -rf "$predict_dir"
     exit 0
 fi
 
@@ -135,28 +122,6 @@ fi
 #   UPDATE_GOLDEN=1 tools/offline-check.sh cluster
 if [ "$1" = "cluster" ]; then
     cargo --offline test --release -p stonne-cluster
-    exit 0
-fi
-
-# `predict` mirrors the CI `predict` job: the predictor test suite, two
-# from-scratch committed-campaign trainings byte-diffed against each
-# other (determinism) and against the committed artifacts in results/
-# (reproducibility). The train bin itself exits non-zero when a workload
-# class misses its held-out error bound. Re-bless an intentional model
-# change by copying the regenerated artifacts over results/PREDICT_*.json.
-if [ "$1" = "predict" ]; then
-    cargo --offline test --release -p stonne-predict
-    predict_dir=$(mktemp -d)
-    cargo --offline run --release -p stonne-predict --bin train -- \
-        --out "$predict_dir/model_1.json" --report "$predict_dir/report_1.json"
-    cargo --offline run --release -p stonne-predict --bin train -- \
-        --out "$predict_dir/model_2.json" --report "$predict_dir/report_2.json"
-    cmp "$predict_dir/model_1.json" "$predict_dir/model_2.json"
-    cmp "$predict_dir/report_1.json" "$predict_dir/report_2.json"
-    cmp "$predict_dir/model_1.json" results/PREDICT_model.json
-    cmp "$predict_dir/report_1.json" results/PREDICT_report.json
-    rm -rf "$predict_dir"
-    echo "offline-check: predictor training is byte-deterministic and matches results/" >&2
     exit 0
 fi
 

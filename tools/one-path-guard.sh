@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# "One path, no knob": grep-level guards for four structural rules of the
+# "One path, no knob": grep-level guards for five structural rules of the
 # lower -> account -> (optionally) compute layer path and of the model walk
 # above it (docs/ARCHITECTURE.md, "Data flow of one operation" and "One
 # walk per run"). Run by the `lint` job of ci.yml and by
@@ -25,6 +25,14 @@
 #      accounting's) exist only as test oracles, and neither crate holds
 #      `unsafe`, a `target_feature` or a `target_arch` (one source, every
 #      CPU, bit for bit).
+#   5. One fidelity: every cycle count is an engine's `accounting` walk or
+#      a layer-cache entry of one. No file of the simulator, the runner,
+#      the serving layers, the CLI, the verifier or the facade (tests and
+#      examples included) names the learned predictor's seams —
+#      `CyclePredictor`, `with_predictor`, `LayerFeatures`,
+#      `parse_fidelity` — or `ws_metadata_cycles`, through which an
+#      accounting walk once ran outside `Stonne::accounting` without
+#      tripping rule 1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,5 +81,9 @@ transposes systolic 0
 transposes sparse 1
 if grep -rnE 'unsafe|target_feature|target_arch' crates/tensor/src crates/core/src; then
     fail "the functional kernel is safe, portable Rust: no unsafe, no per-CPU code"
+fi
+if grep -rnE 'CyclePredictor|with_predictor|LayerFeatures|parse_fidelity|ws_metadata_cycles' \
+    crates/{core,nn,serve,cluster,cli,verify,stonne} examples tests; then
+    fail "one fidelity: cycle counts come from engine accounting walks only"
 fi
 echo "one-path-guard: ok" >&2
