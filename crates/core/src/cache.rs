@@ -53,9 +53,9 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use stonne_tensor::{CsrMatrix, Matrix};
 
-/// The operation-specific part of a cache key. Serializable so a run
-/// checkpoint can snapshot the whole cache (see [`SimCache::export_json`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The operation-specific part of a cache key. Never serialized: the disk
+/// store addresses entries by [`CacheKey::canonical`], the `Debug` text.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum KeyKind {
     /// Systolic GEMM: timing depends only on the problem extents.
     Systolic {
@@ -328,17 +328,11 @@ impl SimCache {
         self
     }
 
-    /// The attached disk store, if any.
-    pub fn disk_store(&self) -> Option<&DiskStore> {
-        self.disk.as_ref()
-    }
-
     /// Sorted content digests of every in-memory key — the cache's
-    /// signature at a point in time. Recorded into run checkpoints
-    /// ([`crate::checkpoint::Checkpoint`]) for observability: two
-    /// bitwise-identical runs checkpointed at the same boundary carry
-    /// identical signatures. Sorting makes the result independent of
-    /// hash-map iteration order.
+    /// signature at a point in time: two runs that simulated the same set
+    /// of layers (a timing-only and a full one, say) carry identical
+    /// signatures. Sorting makes the result independent of hash-map
+    /// iteration order.
     pub fn key_signatures(&self) -> Vec<String> {
         let mut sigs: Vec<String> = self
             .lock()
@@ -363,54 +357,6 @@ impl SimCache {
         // A worker that panicked mid-insert cannot leave a partial entry
         // (HashMap::insert is all-or-nothing), so poisoning is recoverable.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Serializes every in-memory entry, sorted by canonical key so the
-    /// result is byte-deterministic. A run checkpoint embeds this
-    /// snapshot: restoring it before resuming makes the resumed run's
-    /// cache hit/miss sequence — and therefore its per-layer counter
-    /// stats — bitwise-identical to the uninterrupted run's.
-    ///
-    /// # Panics
-    ///
-    /// Never panics in practice (all key/entry fields are serializable).
-    pub fn export_json(&self) -> String {
-        // A key travels as its `(cfg, kind)` pair, ordered by canonical text.
-        let mut entries: Vec<_> = self
-            .lock()
-            .iter()
-            .map(|(k, v)| {
-                (
-                    k.canonical(),
-                    (k.cfg.to_string(), k.kind.clone()),
-                    v.clone(),
-                )
-            })
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let entries: Vec<_> = entries.into_iter().map(|(_, k, v)| (k, v)).collect();
-        serde_json::to_string(&entries).expect("cache entries serialize")
-    }
-
-    /// Restores entries from an [`SimCache::export_json`] snapshot into
-    /// this cache (existing entries under the same key are replaced —
-    /// they are interchangeable by construction). Returns the number of
-    /// entries imported, or an error string when the snapshot does not
-    /// parse.
-    ///
-    /// # Errors
-    ///
-    /// Returns the serde error text when `json` is not a cache snapshot.
-    pub fn import_json(&self, json: &str) -> Result<usize, String> {
-        let entries: Vec<((String, KeyKind), CacheEntry)> =
-            serde_json::from_str(json).map_err(|e| e.to_string())?;
-        let n = entries.len();
-        let mut map = self.lock();
-        for ((cfg, kind), entry) in entries {
-            let cfg = cfg.into();
-            map.insert(CacheKey { cfg, kind }, entry);
-        }
-        Ok(n)
     }
 
     pub(crate) fn get(&self, key: &CacheKey) -> Option<CacheEntry> {
@@ -473,30 +419,6 @@ mod tests {
         let c = scope.counters();
         assert_eq!((c.hits, c.misses), (1, 0), "served entirely from disk");
         std::fs::remove_dir_all(&root).ok();
-    }
-
-    /// A cache snapshot restored into a fresh cache must replay
-    /// bitwise-identically with zero engine invocations and identical
-    /// key signatures — the property run checkpoints rely on.
-    #[test]
-    fn snapshot_roundtrips_into_a_fresh_cache() {
-        let (a, b) = operands(3);
-        let cfg = AcceleratorConfig::maeri_like(64, 16);
-        let warm = SimCache::new();
-        let mut sim = Stonne::new(cfg.clone()).unwrap().with_cache(warm.clone());
-        let (out_warm, stats_warm) = sim.run_gemm("g", &a, &b);
-
-        let snapshot = warm.export_json();
-        let restored = SimCache::new();
-        assert_eq!(restored.import_json(&snapshot), Ok(1));
-        assert_eq!(restored.key_signatures(), warm.key_signatures());
-        let mut sim = Stonne::new(cfg).unwrap().with_cache(restored);
-        let (out, stats) = sim.run_gemm("g", &a, &b);
-        assert_eq!(stats.engine_invocations, 0);
-        assert_eq!(stats.sim_cache_hits, 1);
-        assert_eq!(stats.cycles, stats_warm.cycles);
-        assert_eq!(out.as_slice(), out_warm.as_slice());
-        assert!(SimCache::new().import_json("{not json").is_err());
     }
 
     /// Disk-loaded sparse entries must carry their packing info and

@@ -40,7 +40,6 @@ use crate::mapping::{LayerDims, Tile};
 use crate::networks::{DistributionNetwork, MultiplierNetwork, ReductionNetwork};
 use crate::stats::SimStats;
 use crate::trace::{Component, Probe};
-use serde::{Deserialize, Serialize};
 use stonne_tensor::{fold_gemm, Conv2dGeom, Elem, Matrix};
 
 /// Address marker for zero-padding taps (nothing is fetched).
@@ -51,7 +50,7 @@ pub const PAD_ADDR: u32 = u32::MAX;
 /// only inside the engine's `accounting`. Addresses are relative to the
 /// operand's base, so all groups of a convolution share one generator
 /// (multicast structure is shift-invariant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AddrMap {
     /// Every element is a distinct fetch (plain GEMM: no reuse, no padding).
     Unique {

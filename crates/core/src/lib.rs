@@ -43,10 +43,10 @@
 //! * [`context`] — pooled engine scratch threaded through workers, plus
 //!   the flexible engine's class-collapse switch ([`SimContext`]).
 //! * [`store`] — the disk-persistent, content-addressed result store
-//!   backing the cache across processes ([`DiskStore`]).
-//! * [`checkpoint`] — deterministic model-run snapshots at layer
-//!   boundaries ([`Checkpoint`], [`StateHash`]) enabling
-//!   bitwise-identical resume after a crash.
+//!   backing the cache across processes ([`DiskStore`]) — what an
+//!   interrupted run or sweep gets its finished layers back from — and
+//!   the FNV-1a [`StateHash`] its content digests share with run state
+//!   hashes.
 //! * [`api`] — the coarse-grained STONNE API instruction set (Table III).
 //! * [`stats`] / [`output`] — activity counters, JSON summary, counter
 //!   file, Chrome-trace timeline export.
@@ -57,7 +57,6 @@
 pub mod accelerator;
 pub mod api;
 pub mod cache;
-pub mod checkpoint;
 pub mod config;
 pub mod context;
 pub mod engine;
@@ -71,7 +70,6 @@ pub mod trace;
 pub use accelerator::Stonne;
 pub use api::{ApiError, Instruction, OpConfig, OpOutput, OperandData, StonneMachine};
 pub use cache::SimCache;
-pub use checkpoint::{Checkpoint, CheckpointError, StateHash, CHECKPOINT_SCHEMA};
 pub use config::{
     AcceleratorConfig, ConfigError, ControllerKind, Dataflow, DnKind, MnKind, RnKind, SparseFormat,
 };
@@ -82,5 +80,5 @@ pub use engine::systolic::expected_cycles as systolic_expected_cycles;
 pub use mapping::{candidate_tiles, LayerDims, MappingSignals, Tile};
 pub use output::{chrome_trace_json, counter_file, parse_counter_file, summary_json};
 pub use stats::{ActivityCounters, CycleBreakdown, SimStats};
-pub use store::{code_fingerprint, DiskStore, StoreCounters};
+pub use store::{code_fingerprint, DiskStore, StateHash, StoreCounters};
 pub use trace::{Component, Probe, Trace, TraceEvent};

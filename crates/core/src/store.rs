@@ -100,18 +100,16 @@ struct StoreInner {
     entries: AtomicUsize,
 }
 
-/// Process-wide sequence for unique temporary-file names (shared by the
-/// store and the checkpoint writer so concurrent writers into one
-/// directory never collide).
+/// Process-wide sequence for unique temporary-file names, so concurrent
+/// writers into one directory never collide.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Writes `text` to `path` atomically: the bytes land in a uniquely
 /// named `tmp-*.part` file inside `dir` (same filesystem, so the rename
 /// is atomic) and are renamed into place only when complete. A killed
 /// process can leave a stale `.part` file behind but never a
-/// half-written entry under the final name. Shared by [`DiskStore`] and
-/// [`crate::checkpoint::Checkpoint::save`].
-pub(crate) fn atomic_write_text(dir: &Path, path: &Path, text: &str) -> io::Result<()> {
+/// half-written entry under the final name.
+fn atomic_write_text(dir: &Path, path: &Path, text: &str) -> io::Result<()> {
     let tmp = dir.join(format!(
         "tmp-{}-{}.part",
         std::process::id(),
@@ -454,27 +452,97 @@ impl DiskStore {
     }
 }
 
+/// The standard FNV-1a 64-bit offset basis.
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 128-bit content digest of the canonical key text, rendered as 32 hex
 /// characters: two independent 64-bit FNV-1a passes over the same bytes
 /// with different offset bases. Collisions are additionally guarded by
 /// the full key text stored inside every entry file. Also used to
-/// derive cache signatures for checkpoints and the per-point result
-/// keys of the sweep server.
+/// derive cache signatures ([`crate::SimCache::key_signatures`]) and the
+/// per-point result keys of the sweep server.
 pub(crate) fn digest128(s: &str) -> String {
     format!(
         "{:016x}{:016x}",
-        fnv1a(0xcbf2_9ce4_8422_2325, s.as_bytes()),
+        fnv1a(FNV_OFFSET_BASIS, s.as_bytes()),
         fnv1a(0x6c62_272e_07bb_0142, s.as_bytes())
     )
 }
 
-/// FNV-1a over `bytes` from an explicit offset basis.
+/// FNV-1a over `bytes` from an explicit offset basis — the one byte loop
+/// behind [`digest128`] and [`StateHash`].
 fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         state ^= u64::from(b);
         state = state.wrapping_mul(0x0000_0100_0000_01b3);
     }
     state
+}
+
+/// Incremental FNV-1a 64-bit hasher over canonical state bytes.
+///
+/// Uses the same loop and constants as the result store's content
+/// digests (offset basis `0xcbf2_9ce4_8422_2325`, prime
+/// `0x100_0000_01b3`), so one hashing discipline covers the whole
+/// persistence layer. The hash is a pure function of the bytes fed in —
+/// feed canonical representations (e.g. `f32::to_bits` little-endian) and
+/// two runs that agree bitwise agree on the hash, on every platform.
+///
+/// ```
+/// use stonne_core::StateHash;
+///
+/// let mut h = StateHash::new();
+/// h.update(b"layer0");
+/// h.update_u64(12345);
+/// let first = h.finish();
+/// assert_ne!(first, StateHash::new().finish());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StateHash {
+    state: u64,
+}
+
+impl Default for StateHash {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl StateHash {
+    /// A fresh hasher at the FNV-1a offset basis.
+    pub fn new() -> Self {
+        Self {
+            state: FNV_OFFSET_BASIS,
+        }
+    }
+
+    /// Absorbs raw bytes.
+    pub fn update(&mut self, bytes: &[u8]) {
+        self.state = fnv1a(self.state, bytes);
+    }
+
+    /// Absorbs a `u64` as little-endian bytes.
+    pub fn update_u64(&mut self, v: u64) {
+        self.update(&v.to_le_bytes());
+    }
+
+    /// Absorbs a `u32` as little-endian bytes (the exact-`f32` channel:
+    /// feed `f32::to_bits`).
+    pub fn update_u32(&mut self, v: u32) {
+        self.update(&v.to_le_bytes());
+    }
+
+    /// Absorbs a string with a length prefix, so concatenations of
+    /// different field splits cannot collide.
+    pub fn update_str(&mut self, s: &str) {
+        self.update_u64(s.len() as u64);
+        self.update(s.as_bytes());
+    }
+
+    /// The current hash value (the hasher stays usable).
+    pub fn finish(&self) -> u64 {
+        self.state
+    }
 }
 
 #[cfg(test)]
@@ -724,5 +792,35 @@ mod tests {
         assert!(fp
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '-' | '_')));
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        let mut h = StateHash::new();
+        assert_eq!(h.finish(), 0xcbf2_9ce4_8422_2325);
+        h.update(b"a");
+        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+        let mut h = StateHash::new();
+        h.update(b"foobar");
+        assert_eq!(h.finish(), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn length_prefixed_strings_do_not_collide_on_splits() {
+        let mut a = StateHash::new();
+        a.update_str("ab");
+        a.update_str("c");
+        let mut b = StateHash::new();
+        b.update_str("a");
+        b.update_str("bc");
+        assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn digest128_starts_with_the_state_hash_of_the_same_bytes() {
+        let mut h = StateHash::new();
+        h.update(b"x");
+        assert_eq!(digest128("x")[..16], format!("{:016x}", h.finish()));
     }
 }

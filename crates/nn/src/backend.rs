@@ -93,16 +93,6 @@ impl SimBackend {
         self
     }
 
-    /// The underlying simulator (per-layer history lives here).
-    pub fn sim(&self) -> &Stonne {
-        &self.sim
-    }
-
-    /// Consumes the backend, returning the simulator.
-    pub fn into_sim(self) -> Stonne {
-        self.sim
-    }
-
     /// Stats of every offloaded operation so far.
     pub fn layer_stats(&self) -> &[SimStats] {
         self.sim.history()

@@ -39,15 +39,13 @@ pub fn execute_graph<B: Backend>(
 }
 
 /// Executes a single node given the values of its inputs (`inputs[i]` is
-/// the value of `node.inputs[i]`): the step shared by [`execute_graph`] and
-/// the simulated runner's walk, which resumes mid-graph and snapshots at
-/// layer boundaries.
+/// the value of `node.inputs[i]`).
 ///
 /// # Panics
 ///
 /// Panics when a parameterized node is missing weights or a value kind
 /// mismatches its op.
-pub(crate) fn execute_node<B: Backend>(
+fn execute_node<B: Backend>(
     model: &ModelSpec,
     id: usize,
     params: &ModelParams,
@@ -147,9 +145,8 @@ pub(crate) fn time_graph(
     }
 }
 
-/// Whether an op offloads work to the backend: finishing one is a layer
-/// boundary of the run.
-pub(crate) fn is_offloaded_op(op: &OpSpec) -> bool {
+/// Whether an op offloads work to the backend.
+fn is_offloaded_op(op: &OpSpec) -> bool {
     matches!(
         op,
         OpSpec::Conv2d { .. }

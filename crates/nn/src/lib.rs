@@ -21,14 +21,12 @@
 //!   simulator instance — the paper's layer-by-layer offload.
 //!   [`RunOptions`] controls layer-simulation memoization (on by default;
 //!   see [`stonne_core::SimCache`]), host parallelism *inside* a layer
-//!   (`parallel`), checkpoint/resume (`checkpoint_every` / `resume_from`,
-//!   hooks of the same walk), and whether activations are computed at all
+//!   (`parallel`), and whether activations are computed at all
 //!   (`timing_only`: statistics from shapes, for callers that never read
-//!   an output).
-//! * [`checkpoint`] — deterministic snapshot/resume at layer boundaries:
-//!   interrupted runs restart at the last boundary and finish
-//!   bitwise-identical to uninterrupted ones, guarded by a state hash and
-//!   bound to their run (model, weights, input, schedule, configuration).
+//!   an output). An interrupted run resumes through the cache: back it
+//!   with a [`stonne_core::DiskStore`] and a re-run simulates only the
+//!   layers whose entries are missing. [`ModelRun::state_hash`] digests a
+//!   run's exact output bits and statistics.
 //! * [`parallel`] — the bounded worker pool that fans whole runs out:
 //!   the bench-harness figure sweeps and the cluster profiler.
 //!
@@ -54,7 +52,6 @@
 //! ```
 
 pub mod backend;
-pub mod checkpoint;
 pub mod executor;
 pub mod parallel;
 pub mod params;

@@ -3,15 +3,13 @@
 //! validation.
 
 use crate::backend::{ReferenceBackend, SimBackend};
-use crate::checkpoint::Checkpoints;
-use crate::executor::{execute_graph, execute_node, is_offloaded_op, time_graph};
+use crate::executor::{execute_graph, time_graph};
 use crate::params::ModelParams;
 use crate::value::Value;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use stonne_core::{
     AcceleratorConfig, ConfigError, ControllerKind, NaturalOrder, RowSchedule, SimCache,
-    SimContext, SimStats, Stonne,
+    SimContext, SimStats, StateHash, Stonne,
 };
 use stonne_energy::{EnergyBreakdown, EnergyModel};
 use stonne_models::OpSpec;
@@ -111,15 +109,60 @@ impl ModelRun {
     /// volatile counters (cache hits/misses/inserts, engine
     /// invocations) zeroed. Two runs of the same model/config agree on
     /// this hash exactly when they agree bitwise on outputs and
-    /// hardware-level stats — serial or [`RunOptions::parallel`],
-    /// straight, checkpointed or resumed.
+    /// hardware-level stats — serial or [`RunOptions::parallel`], cold,
+    /// cached or replayed from a disk store.
     pub fn state_hash(&self) -> u64 {
-        crate::checkpoint::run_state_hash(self)
+        state_hash_of(&self.outputs, self.layers.iter().map(|l| &l.stats))
     }
 }
 
+/// Absorbs one tensor: a tag, its dimensions and exact element bits.
+fn hash_elems(h: &mut StateHash, tag: u64, dims: &[usize], elems: &[f32]) {
+    h.update_u64(tag);
+    for &d in dims {
+        h.update_u64(d as u64);
+    }
+    for &x in elems {
+        h.update_u32(x.to_bits());
+    }
+}
+
+fn hash_value(h: &mut StateHash, v: &Value) {
+    match v {
+        Value::Feature(t) => {
+            let (n, c, hh, w) = t.shape();
+            hash_elems(h, 0, &[n, c, hh, w], t.as_slice());
+        }
+        Value::Tokens(m) => hash_elems(h, 1, &[m.rows(), m.cols()], m.as_slice()),
+    }
+}
+
+/// FNV-1a over the canonical run state: node values (exact bits) and
+/// per-layer stats with the host counters zeroed
+/// ([`SimStats::clear_host_counters`]) — they depend on *how* a result
+/// was obtained (cached, replayed), not on what the simulated hardware
+/// did.
+fn state_hash_of<'a>(values: &[Value], stats: impl ExactSizeIterator<Item = &'a SimStats>) -> u64 {
+    let mut h = StateHash::new();
+    h.update_u64(values.len() as u64);
+    for v in values {
+        hash_value(&mut h, v);
+    }
+    h.update_u64(stats.len() as u64);
+    for s in stats {
+        let mut s = s.clone();
+        s.clear_host_counters();
+        h.update_str(&serde_json::to_string(&s).expect("stats serialize"));
+    }
+    // The hashed layout ends with a length-prefixed string that is always
+    // empty; its eight zero bytes stay so that every committed state hash
+    // (the cross-architecture manifest, `sysbench`'s pins) keeps its value.
+    h.update_str("");
+    h.finish()
+}
+
 /// Knobs of a simulated full-model run: layer-simulation memoization,
-/// host parallelism, checkpointing.
+/// host parallelism inside a layer, and whether activations are computed.
 ///
 /// The default enables a fresh [`SimCache`] (repeated layer shapes — e.g.
 /// BERT's 12 identical encoders — simulate once and replay bitwise
@@ -130,8 +173,6 @@ impl ModelRun {
 pub struct RunOptions {
     cache: Option<SimCache>,
     parallel: bool,
-    checkpoint: Option<(usize, PathBuf)>,
-    resume: Option<PathBuf>,
     context: Option<SimContext>,
     timing_only: bool,
 }
@@ -141,8 +182,6 @@ impl Default for RunOptions {
         Self {
             cache: Some(SimCache::new()),
             parallel: false,
-            checkpoint: None,
-            resume: None,
             context: None,
             timing_only: false,
         }
@@ -172,20 +211,12 @@ impl RunOptions {
         self
     }
 
-    /// The cache these options run with (`None` after
-    /// [`RunOptions::uncached`]). Callers use this to inspect hit/miss
-    /// counters or the attached disk store after a run.
-    pub fn cache_handle(&self) -> Option<&SimCache> {
-        self.cache.as_ref()
-    }
-
     /// Asks for statistics only: the walk accounts every layer from
     /// shapes (and the weights' zero patterns), no activation is
     /// computed and [`ModelRun::outputs`] comes back empty; `layers`,
     /// `total`, `energy` and every layer-cache entry written are exactly
     /// the full run's. Where timing depends on activation values
-    /// ([`timing_needs_values`]) and for checkpointed runs (their state
-    /// hash covers the outputs) the run stays a full one.
+    /// ([`timing_needs_values`]) the run stays a full one.
     #[must_use]
     pub fn timing_only(mut self) -> Self {
         self.timing_only = true;
@@ -204,31 +235,6 @@ impl RunOptions {
         self
     }
 
-    /// Snapshots the run into `dir` every `every` layer boundaries (an
-    /// offloaded operation finishing is a boundary; `every` is clamped
-    /// to ≥ 1). The snapshots do not perturb the run: outputs, stats and
-    /// traces are bitwise-identical to a run without checkpointing. See
-    /// [`crate::checkpoint`].
-    #[must_use]
-    pub fn checkpoint_every(mut self, every: usize, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some((every.max(1), dir.into()));
-        self
-    }
-
-    /// Resumes from the newest valid checkpoint in `dir` (written by a
-    /// prior [`RunOptions::checkpoint_every`] run of the same model,
-    /// weights, input, schedule, configuration and build), restarting at
-    /// its layer boundary. A truncated or hash-mismatched checkpoint is
-    /// skipped in favor of the boundary before it, as is one written by
-    /// any other run; with no valid checkpoint the run starts clean. The
-    /// resumed run's outputs, stats and energy are bitwise-identical to an
-    /// uninterrupted run.
-    #[must_use]
-    pub fn resume_from(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.resume = Some(dir.into());
-        self
-    }
-
     /// Uses an explicit (possibly shared) [`SimContext`] — its pooled
     /// scratch buffers survive across runs that share it (e.g. every
     /// sweep point of a worker), and [`SimContext::disabled`] selects the
@@ -238,23 +244,6 @@ impl RunOptions {
     pub fn with_context(mut self, context: SimContext) -> Self {
         self.context = Some(context);
         self
-    }
-
-    /// The simulation context these options run with, if explicitly set.
-    pub fn context_handle(&self) -> Option<&SimContext> {
-        self.context.as_ref()
-    }
-
-    /// The checkpoint cadence and directory, when enabled.
-    pub(crate) fn checkpoint_policy(&self) -> Option<(usize, &Path)> {
-        self.checkpoint
-            .as_ref()
-            .map(|(every, dir)| (*every, dir.as_path()))
-    }
-
-    /// The resume directory, when enabled.
-    pub(crate) fn resume_dir(&self) -> Option<&Path> {
-        self.resume.as_deref()
     }
 
     /// Worker budget handed to [`Stonne::with_intra_tiles`]: the host's
@@ -340,9 +329,13 @@ pub fn run_model_simulated_scheduled(
 
 /// Runs a model on a simulated accelerator with explicit [`RunOptions`]:
 /// one simulator instance, one walk over the graph in node order — over
-/// shapes when only timing is asked for, else over values, node by node,
-/// starting after a restored prefix and snapshotting at layer boundaries
-/// when the options checkpoint.
+/// shapes when only timing is asked for, else over values, through the
+/// same [`execute_graph`] the reference run uses.
+///
+/// An interrupted run gets its finished layers back from the layer cache:
+/// with [`SimCache::backed_by`] a disk store, every layer's entry is on
+/// disk the moment the layer finishes, and a re-run over the same store
+/// simulates only what is missing.
 ///
 /// # Errors
 ///
@@ -357,45 +350,19 @@ pub fn run_model_simulated_with(
 ) -> Result<ModelRun, ConfigError> {
     let energy_model = EnergyModel::for_config(&config);
     let ms_size = config.ms_size;
-    // A checkpoint's state hash covers the outputs: checkpointed runs
-    // compute every activation.
-    let checkpointed = options.checkpoint.is_some() || options.resume.is_some();
     let mut sim = Stonne::new(config)?
         .with_intra_tiles(options.worker_budget())
-        .with_context(options.context.clone().unwrap_or_default());
-    if let Some(cache) = options.cache.clone() {
+        .with_context(options.context.unwrap_or_default());
+    if let Some(cache) = options.cache {
         sim = sim.with_cache(cache);
     }
-    if options.timing_only && !checkpointed && !timing_needs_values(model, sim.config()) {
+    let (values, stats) = if options.timing_only && !timing_needs_values(model, sim.config()) {
         time_graph(model, params, input, &mut sim, schedule.as_ref());
-        let stats = sim.history().to_vec();
-        return Ok(ModelRun::assemble(
-            Vec::new(),
-            stats,
-            ms_size,
-            &energy_model,
-        ));
-    }
-
-    model
-        .infer_shapes()
-        .unwrap_or_else(|e| panic!("invalid graph: {e}"));
-    let (mut checkpoints, restored) = checkpointed
-        .then(|| Checkpoints::open(model, params, input, sim.config(), &*schedule, &options))
-        .unzip();
-    let mut values: Vec<Value> = restored.unwrap_or_default();
-    let mut backend = SimBackend::new(sim).with_schedule(schedule);
-    for (id, node) in model.nodes().iter().enumerate().skip(values.len()) {
-        let ins: Vec<&Value> = node.inputs.iter().map(|&i| &values[i]).collect();
-        let out = execute_node(model, id, params, input, &ins, &mut backend);
-        values.push(out);
-        if let (Some(checkpoints), true) = (&mut checkpoints, is_offloaded_op(&node.op)) {
-            checkpoints.layer_done(&values, backend.layer_stats());
-        }
-    }
-    let stats = match &checkpoints {
-        Some(checkpoints) => checkpoints.stats_with(backend.layer_stats()),
-        None => backend.layer_stats().to_vec(),
+        (Vec::new(), sim.history().to_vec())
+    } else {
+        let mut backend = SimBackend::new(sim).with_schedule(schedule);
+        let values = execute_graph(model, params, input, &mut backend);
+        (values, backend.layer_stats().to_vec())
     };
     Ok(ModelRun::assemble(values, stats, ms_size, &energy_model))
 }
@@ -426,10 +393,9 @@ pub fn run_model_simulated_traced(
 }
 
 /// [`run_model_simulated_traced`] with explicit [`RunOptions`] — used to
-/// assert that neither checkpointing nor [`RunOptions::parallel`] perturbs
-/// the recorded timeline (all three trace byte-identically: the trace
-/// buffer is thread-local and the accounting walk never leaves the
-/// calling thread).
+/// assert that [`RunOptions::parallel`] does not perturb the recorded
+/// timeline (both trace byte-identically: the trace buffer is
+/// thread-local and the accounting walk never leaves the calling thread).
 ///
 /// # Errors
 ///
@@ -585,6 +551,32 @@ mod tests {
         assert!(json.contains("\"gb_uj\""));
         let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed["layers"].as_array().unwrap().len(), run.layers.len());
+    }
+
+    #[test]
+    fn state_hash_tracks_value_bits_and_stats() {
+        use stonne_tensor::Matrix;
+        let v = vec![Value::Tokens(Matrix::from_rows(&[&[1.0, 2.0]]))];
+        let s = vec![SimStats {
+            operation: "l0".to_owned(),
+            cycles: 10,
+            ..SimStats::default()
+        }];
+        let base = state_hash_of(&v, s.iter());
+        assert_eq!(base, state_hash_of(&v, s.iter()), "deterministic");
+        let mut v2 = v.clone();
+        if let Value::Tokens(m) = &mut v2[0] {
+            m.set(0, 0, 1.0000001);
+        }
+        assert_ne!(base, state_hash_of(&v2, s.iter()), "value bits matter");
+        let mut s2 = s.clone();
+        s2[0].cycles = 11;
+        assert_ne!(base, state_hash_of(&v, s2.iter()), "stats matter");
+        // Volatile counters are canonicalized away.
+        let mut s3 = s.clone();
+        s3[0].sim_cache_hits = 5;
+        s3[0].engine_invocations = 2;
+        assert_eq!(base, state_hash_of(&v, s3.iter()), "counters excluded");
     }
 
     #[test]

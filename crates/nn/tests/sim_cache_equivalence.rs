@@ -1,13 +1,20 @@
-//! The simulation cache's correctness gate: cached, uncached, and
-//! parallel full-model runs must be indistinguishable — bitwise-identical
-//! outputs and identical per-layer cycle statistics — while the cached
-//! run performs far fewer cycle-level engine invocations.
+//! The simulation cache's correctness gate: cached, uncached, parallel
+//! and store-replayed full-model runs must be indistinguishable —
+//! bitwise-identical outputs and identical per-layer cycle statistics —
+//! while the cached run performs far fewer cycle-level engine
+//! invocations, and a re-run over a partly filled disk store (what an
+//! interrupted run leaves behind) simulates only the missing layers.
 
 use std::sync::Arc;
-use stonne_core::{summary_json, AcceleratorConfig, NaturalOrder, SimCache, SimContext, SimStats};
+use stonne_core::{
+    chrome_trace_json, summary_json, AcceleratorConfig, DiskStore, NaturalOrder, SimCache,
+    SimContext, SimStats,
+};
 use stonne_models::{zoo, ModelId, ModelScale};
 use stonne_nn::params::{generate_input, ModelParams};
-use stonne_nn::runner::{run_model_simulated_with, ModelRun, RunOptions};
+use stonne_nn::runner::{
+    run_model_simulated_traced_with, run_model_simulated_with, ModelRun, RunOptions,
+};
 
 /// Zeroes the host bookkeeping fields so stats compare field-by-field.
 fn strip_cache_counters(mut s: SimStats) -> SimStats {
@@ -15,19 +22,23 @@ fn strip_cache_counters(mut s: SimStats) -> SimStats {
     s
 }
 
-/// Tiny BERT with its generated weights and input (generation dominates
-/// a Tiny run, so a test that runs it repeatedly builds it once).
-type Bert = (stonne_models::ModelSpec, ModelParams, stonne_nn::Value);
+/// A Tiny model with its generated weights and input (generation
+/// dominates a Tiny run, so a test that runs it repeatedly builds it once).
+type Instance = (stonne_models::ModelSpec, ModelParams, stonne_nn::Value);
 
-fn tiny_bert() -> Bert {
-    let model = zoo::build(ModelId::Bert, ModelScale::Tiny);
-    let params = ModelParams::generate(&model, 17);
-    let input = generate_input(&model, 18);
+fn tiny(id: ModelId, (weights_seed, input_seed): (u64, u64)) -> Instance {
+    let model = zoo::build(id, ModelScale::Tiny);
+    let params = ModelParams::generate(&model, weights_seed);
+    let input = generate_input(&model, input_seed);
     (model, params, input)
 }
 
+fn tiny_bert() -> Instance {
+    tiny(ModelId::Bert, (17, 18))
+}
+
 fn run_on(
-    (model, params, input): &Bert,
+    (model, params, input): &Instance,
     config: AcceleratorConfig,
     options: RunOptions,
 ) -> ModelRun {
@@ -214,4 +225,80 @@ fn class_collapse_is_invisible_on_a_depthwise_model() {
         collapsed.total.tile_cache_hits > 0,
         "chunks replay a class record"
     );
+}
+
+/// The state hash is stable across serial and `.parallel()` runs — the
+/// oracle the fuzz matrix pins.
+#[test]
+fn state_hash_is_stable_across_runners() {
+    let config = AcceleratorConfig::maeri_like(32, 16);
+    let alexnet = tiny(ModelId::AlexNet, (1, 2));
+    let serial = run_on(&alexnet, config.clone(), RunOptions::new());
+    let parallel = run_on(&alexnet, config.clone(), RunOptions::new().parallel());
+    assert_eq!(serial.state_hash(), parallel.state_hash());
+    // And it is not vacuous: a different input changes it.
+    let other = run_on(&tiny(ModelId::AlexNet, (1, 3)), config, RunOptions::new());
+    assert_ne!(serial.state_hash(), other.state_hash());
+}
+
+/// `.parallel()` does not perturb the recorded trace: it exports the
+/// plain run's timeline byte for byte.
+#[test]
+fn parallel_preserves_the_trace_byte_for_byte() {
+    let (model, params, input) = tiny(ModelId::AlexNet, (1, 2));
+    let traced = |options: RunOptions| {
+        let capacity = stonne_core::trace::DEFAULT_CAPACITY;
+        let cfg = AcceleratorConfig::maeri_like(32, 16);
+        run_model_simulated_traced_with(&model, &params, &input, cfg, capacity, options).unwrap()
+    };
+    let (plain_run, plain_trace) = traced(RunOptions::new());
+    assert!(!plain_trace.events().is_empty());
+    let (run, trace) = traced(RunOptions::new().parallel());
+    assert_equivalent(&plain_run, &run, "traced-parallel");
+    assert_eq!(plain_run.report_json(), run.report_json());
+    assert_eq!(
+        chrome_trace_json(&plain_trace),
+        chrome_trace_json(&trace),
+        "trace bytes"
+    );
+}
+
+/// How an interrupted run resumes: layer entries land in the disk store
+/// one per finished layer, atomically, so whatever the dead run finished
+/// is there for the next one. A re-run through a fresh memory cache on a
+/// store that lost half its entries simulates exactly the missing half.
+#[test]
+fn a_rerun_over_a_partial_store_simulates_only_what_is_missing() {
+    let root = std::env::temp_dir().join(format!("stonne-nn-partial-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let store = DiskStore::open(&root).unwrap();
+    let alexnet = tiny(ModelId::AlexNet, (1, 2));
+    let run = || {
+        let cache = SimCache::new().backed_by(store.scoped());
+        let config = AcceleratorConfig::maeri_like(64, 32);
+        run_on(&alexnet, config, RunOptions::new().with_cache(cache))
+    };
+
+    let first = run();
+    let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(store.dir())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len() as u64, first.total.engine_invocations);
+    let deleted: Vec<_> = entries.iter().step_by(2).collect();
+    assert!(deleted.len() >= 2 && deleted.len() < entries.len());
+    for path in &deleted {
+        std::fs::remove_file(path).unwrap();
+    }
+
+    let second = run();
+    assert_equivalent(&first, &second, "partial-store");
+    assert_eq!(first.state_hash(), second.state_hash());
+    assert_eq!(second.total.engine_invocations, deleted.len() as u64);
+    let third = run();
+    assert_equivalent(&first, &third, "refilled-store");
+    assert_eq!(third.total.engine_invocations, 0, "every layer replays");
+    std::fs::remove_dir_all(&root).ok();
 }

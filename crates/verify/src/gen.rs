@@ -147,18 +147,6 @@ pub enum Workload {
         /// Worker budget handed to the engine.
         workers: usize,
     },
-    /// Full-model run checkpointed every `every` layer boundaries, then
-    /// interrupted (newer checkpoints deleted) and resumed: the resumed
-    /// run must be bitwise identical to an uninterrupted one — outputs,
-    /// stats (including cache counters), energy, and state hash.
-    CheckpointResume {
-        /// DNN model to run at `ModelScale::Tiny`.
-        model: ModelId,
-        /// Architecture selector, as in [`Workload::CacheReplay`].
-        arch: u8,
-        /// Checkpoint cadence in layer boundaries.
-        every: usize,
-    },
     /// A nested cheap-space campaign run monolithically and as
     /// `shards` deterministic shards merged back together: the merged
     /// report must be byte-identical to the monolithic one.
@@ -186,7 +174,6 @@ impl Workload {
             Workload::ModelRun { .. } => "model_run",
             Workload::ClusterScenario { .. } => "cluster_scenario",
             Workload::IntraLayerParallel { .. } => "intra_tile_parallel",
-            Workload::CheckpointResume { .. } => "checkpoint_resume",
             Workload::ShardMerge { .. } => "shard_merge",
         }
     }
@@ -305,16 +292,10 @@ pub fn generate(campaign_seed: u64, index: u64) -> Workload {
             window,
             stride,
         }
-    } else if roll < 94 {
+    } else if roll < 96 {
         Workload::ModelRun {
             model: FUZZ_MODELS[rng.index(FUZZ_MODELS.len())],
             arch: rng.index(3) as u8,
-        }
-    } else if roll < 96 {
-        Workload::CheckpointResume {
-            model: FUZZ_MODELS[rng.index(FUZZ_MODELS.len())],
-            arch: rng.index(3) as u8,
-            every: 1 + rng.index(4),
         }
     } else if roll < 98 {
         Workload::ShardMerge {
@@ -415,7 +396,6 @@ mod tests {
             "model_run",
             "cluster_scenario",
             "intra_tile_parallel",
-            "checkpoint_resume",
             "shard_merge",
         ] {
             assert!(seen.contains(class), "class {class} never generated");
@@ -458,6 +438,19 @@ mod tests {
         // Rolls 90, 91, 88 and 88: inside the band.
         for index in [0, 24, 42, 57] {
             assert_eq!(generate(7, index).class(), "pool", "sample {index}");
+        }
+        // Rolls 94..96 went to the model-run class, whose two draws are the
+        // first two its former neighbour made: these samples run the model
+        // on the architecture they always ran.
+        for (index, workload) in [
+            (82, "ModelRun { model: SqueezeNet, arch: 2 }"),
+            (239, "ModelRun { model: MobileNetV1, arch: 0 }"),
+        ] {
+            assert_eq!(
+                format!("{:?}", generate(7, index)),
+                workload,
+                "sample {index}"
+            );
         }
     }
 

@@ -45,7 +45,7 @@ fn usage() -> ! {
          With --shard I/N only samples with index % N == I are checked and\n\
          a shard artifact is written instead; `verify merge` recombines\n\
          shard artifacts into the report the single-process run produces.\n\
-         `verify state-hash` writes the checkpoint state hashes of a fixed\n\
+         `verify state-hash` writes the run state hashes of a fixed\n\
          full-model roster (default: state_hash.json) — byte-diff it across\n\
          architectures to prove cross-platform determinism."
     );

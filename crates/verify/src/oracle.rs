@@ -65,7 +65,7 @@ pub struct SampleCheck {
 }
 
 /// The fixed oracle roster, in report order.
-pub const ORACLES: [&str; 17] = [
+pub const ORACLES: [&str; 16] = [
     "systolic_exact_cycles",
     "flexible_maeri_band",
     "sigma_dense_band",
@@ -77,7 +77,6 @@ pub const ORACLES: [&str; 17] = [
     "state_hash_stable",
     "timing_only_equals_full",
     "intra_serial_parallel_bitwise",
-    "resume_vs_straight_bitwise",
     "shard_merge_bitwise",
     "cluster_serial_parallel_bitwise",
     "functional_outputs",
@@ -567,7 +566,7 @@ fn check_model_run(model: stonne::models::ModelId, arch: u8, seed: u64) -> Sampl
             serial.total.cycles
         ),
     );
-    // Host parallelism may not reach the checkpoint state hash either.
+    // Host parallelism may not reach the run state hash either.
     let (hs, hp) = (serial.state_hash(), parallel.state_hash());
     push(
         &mut outcomes,
@@ -800,90 +799,6 @@ fn check_cluster_scenario(
     }
 }
 
-/// Checkpoint a tiny full-model run every `every` layer boundaries,
-/// interrupt it by deleting the newer checkpoints, resume, and demand
-/// the resumed run be bitwise-identical to an uninterrupted one.
-fn check_checkpoint_resume(
-    model: stonne::models::ModelId,
-    arch: u8,
-    every: usize,
-    seed: u64,
-) -> SampleCheck {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
-
-    let mut outcomes = Vec::new();
-    let arch = Arch::ALL[usize::from(arch) % Arch::ALL.len()];
-    let spec = zoo::build(model, ModelScale::Tiny);
-    let params = ModelParams::generate(&spec, seed);
-    let input = generate_input(&spec, seed ^ 0xf00d);
-    let run = |options: RunOptions| {
-        run_model_simulated_with(
-            &spec,
-            &params,
-            &input,
-            arch.config(),
-            Arc::new(NaturalOrder),
-            options,
-        )
-        .expect("preset configs are valid")
-    };
-
-    // Unique scratch dir per invocation: concurrent test threads may
-    // check the same workload with the same seed.
-    let dir = std::env::temp_dir().join(format!(
-        "stonne-verify-ckpt-{}-{}",
-        std::process::id(),
-        NEXT_DIR.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let straight = run(RunOptions::new());
-    let checkpointed = run(RunOptions::new().checkpoint_every(every, &dir));
-
-    // Interrupt: keep only the oldest checkpoint so the resume actually
-    // re-executes the tail of the model.
-    let mut ckpts: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
-        .map(|rd| rd.filter_map(Result::ok).map(|e| e.path()).collect())
-        .unwrap_or_default();
-    ckpts.sort();
-    let kept = ckpts.len().min(1);
-    for stale in ckpts.iter().skip(kept) {
-        let _ = std::fs::remove_file(stale);
-    }
-    let resumed = run(RunOptions::new().resume_from(&dir));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let ckpt_equal = straight.outputs == checkpointed.outputs
-        && straight.report_json() == checkpointed.report_json()
-        && straight.state_hash() == checkpointed.state_hash();
-    let resume_equal = straight.outputs == resumed.outputs
-        && straight.report_json() == resumed.report_json()
-        && straight.state_hash() == resumed.state_hash();
-    push(
-        &mut outcomes,
-        "resume_vs_straight_bitwise",
-        ckpt_equal && resume_equal && !ckpts.is_empty(),
-        None,
-        format!(
-            "{} on {} every {}: checkpointed_equal {} resumed_equal {} ({} checkpoints, {} cycles)",
-            model.name(),
-            arch.name(),
-            every,
-            ckpt_equal,
-            resume_equal,
-            ckpts.len(),
-            straight.total.cycles
-        ),
-    );
-    structural_checks(&mut outcomes, &arch.config(), &resumed.total);
-    SampleCheck {
-        outcomes,
-        maeri_full_bw: None,
-        sigma_dense: None,
-    }
-}
-
 /// Run a nested cheap-space campaign monolithically and as shards, and
 /// demand the merged report be byte-identical to the monolithic one.
 fn check_shard_merge(samples: u64, seed_offset: u64, shards: u64, seed: u64) -> SampleCheck {
@@ -977,9 +892,6 @@ pub fn check_workload(workload: &Workload, seed: u64) -> SampleCheck {
             k,
             workers,
         } => check_intra_tile_parallel(ms, m, n, k, workers, seed),
-        Workload::CheckpointResume { model, arch, every } => {
-            check_checkpoint_resume(model, arch, every, seed)
-        }
         Workload::ShardMerge {
             samples,
             seed_offset,
@@ -1064,21 +976,6 @@ mod tests {
             let r = check_workload(&w, 0x1f2e);
             assert!(r.outcomes.iter().all(|o| o.passed), "{:?}", r.outcomes);
         }
-    }
-
-    #[test]
-    fn checkpoint_resume_oracle_accepts_the_engine() {
-        let w = Workload::CheckpointResume {
-            model: stonne::models::ModelId::SqueezeNet,
-            arch: 1,
-            every: 2,
-        };
-        let r = check_workload(&w, 0xc0de);
-        assert!(r.outcomes.iter().all(|o| o.passed), "{:?}", r.outcomes);
-        assert!(r
-            .outcomes
-            .iter()
-            .any(|o| o.oracle == "resume_vs_straight_bitwise"));
     }
 
     #[test]

@@ -212,16 +212,6 @@ pub fn candidates(w: &Workload) -> Vec<Workload> {
         }
         // A model run has no smaller version of itself.
         Workload::ModelRun { .. } => {}
-        Workload::CheckpointResume { model, arch, every } => {
-            // The model itself cannot shrink; the checkpoint cadence can.
-            if let Some(e) = halved(every, 1) {
-                out.push(Workload::CheckpointResume {
-                    model,
-                    arch,
-                    every: e,
-                });
-            }
-        }
         Workload::ShardMerge {
             samples,
             seed_offset,
@@ -474,14 +464,6 @@ mod tests {
                 |w| matches!(w, Workload::ModelRun { .. }),
             ),
             (
-                Workload::CheckpointResume {
-                    model: stonne::models::ModelId::Bert,
-                    arch: 2,
-                    every: 4,
-                },
-                |w| matches!(w, Workload::CheckpointResume { every, .. } if *every >= 2),
-            ),
-            (
                 Workload::ShardMerge {
                     samples: 11,
                     seed_offset: 3,
@@ -523,20 +505,12 @@ mod tests {
     /// the new classes too.
     #[test]
     fn new_classes_pass_through_unchanged_when_green() {
-        for w in [
-            Workload::CheckpointResume {
-                model: stonne::models::ModelId::AlexNet,
-                arch: 0,
-                every: 3,
-            },
-            Workload::ShardMerge {
-                samples: 8,
-                seed_offset: 1,
-                shards: 2,
-            },
-        ] {
-            assert_eq!(shrink_with(&w, |_| false), w);
-        }
+        let w = Workload::ShardMerge {
+            samples: 8,
+            seed_offset: 1,
+            shards: 2,
+        };
+        assert_eq!(shrink_with(&w, |_| false), w);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Cross-platform determinism manifest: checkpoint state hashes of a
-//! fixed roster of full-model runs.
+//! Cross-platform determinism manifest: run state hashes
+//! (`ModelRun::state_hash`) of a fixed roster of full-model runs.
 //!
 //! `verify state-hash` writes this manifest, and CI's cross-architecture
 //! reproducibility leg byte-diffs it between the x86 and aarch64 jobs:
-//! the checkpoint [`stonne::core::StateHash`] digests outputs, per-layer
-//! statistics and energy, so two architectures that agree on every hash
-//! agree on every simulated number — a far stronger claim than "the
-//! tests pass on both".
+//! the FNV-1a [`stonne::core::StateHash`] of a run digests every output
+//! bit and the per-layer statistics (energy is a function of those), so
+//! two architectures that agree on every hash agree on every simulated
+//! number — a far stronger claim than "the tests pass on both".
 
 use std::sync::Arc;
 
@@ -20,7 +20,7 @@ use stonne_bench::fig5::Arch;
 /// Schema tag of the manifest artifact.
 pub const STATE_HASH_SCHEMA: &str = "stonne-state-hash/1";
 
-/// One (model, architecture) run and its checkpoint state hash.
+/// One (model, architecture) run and its state hash.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StateHashEntry {
     /// Zoo model name.

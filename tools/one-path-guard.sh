@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# "One path, no knob": grep-level guards for five structural rules of the
+# "One path, no knob": grep-level guards for six structural rules of the
 # lower -> account -> (optionally) compute layer path and of the model walk
 # above it (docs/ARCHITECTURE.md, "Data flow of one operation" and "One
 # walk per run"). Run by the `lint` job of ci.yml and by
@@ -13,9 +13,11 @@
 #      tensor, so every `RunOptions::new()` there asks for none: it is
 #      followed (same or next line) by `.timing_only()`.
 #   3. A model run is one sequential walk around one simulator instance:
-#      the non-test code of `crates/nn/src/{runner,checkpoint}.rs` names
-#      `Stonne::new(` once and `execute_node(` once, and the runner never
-#      fans layers over the worker pool (`run_parallel(` is absent).
+#      the non-test code of `crates/nn/src/runner.rs` names `Stonne::new(`
+#      once, `run_model_simulated_with` calls `execute_graph(` once — the
+#      walk the reference run uses — and the runner neither steps nodes
+#      itself (`execute_node(`) nor fans layers over the worker pool
+#      (`run_parallel(`).
 #   4. Every MAC engine's `functional` half is the one order-preserving
 #      kernel of `stonne-tensor`: the non-test code of
 #      `crates/core/src/engine/{flexible,systolic}.rs` names `fold_gemm(`
@@ -33,6 +35,15 @@
 #      `parse_fidelity` — or `ws_metadata_cycles`, through which an
 #      accounting walk once ran outside `Stonne::accounting` without
 #      tripping rule 1.
+#   6. One way to resume: an interrupted run or sweep gets its work back
+#      from the `DiskStore` (layer entries, per-point blobs). No file of
+#      the workspace outside `sysbench`, no example, test, tool or
+#      workflow names the in-run checkpoint seams — `checkpoint_every`,
+#      `resume_from`, `CHECKPOINT_SCHEMA`, `stonne-checkpoint/`,
+#      `CheckpointResume`, `resume_vs_straight`, `SimCache::export_json` /
+#      `import_json`. The prose word "checkpoint" stays legal (serve uses
+#      it for per-point blobs); `docs/` is not scanned because
+#      PERFORMANCE.md names what it measured.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,13 +68,14 @@ for file in crates/serve/src/*.rs crates/cluster/src/*.rs; do
     [ -z "$bad" ] || fail "RunOptions::new() without .timing_only(): $bad"
 done
 runner=crates/nn/src/runner.rs
-walk=$(src "$runner"; src crates/nn/src/checkpoint.rs)
-for call in 'Stonne::new(' 'execute_node('; do
-    n=$(grep -cF "$call" <<<"$walk" || true)
-    [ "$n" -eq 1 ] || fail "nn runner+checkpoint name $call $n times (expected 1)"
-done
-if grep -nF 'run_parallel(' "$runner"; then
-    fail "$runner fans work over the pool: a run is one sequential walk"
+n=$(src "$runner" | grep -cF 'Stonne::new(' || true)
+[ "$n" -eq 1 ] || fail "$runner names Stonne::new( $n times (expected 1)"
+# The function's body: from its signature to the first `}` in column 0
+# (`src` prefixes every line with `file:line: `).
+n=$(src "$runner" | awk '/pub fn run_model_simulated_with\(/,/: }$/' | grep -cF 'execute_graph(' || true)
+[ "$n" -eq 1 ] || fail "run_model_simulated_with calls execute_graph( $n times (expected 1)"
+if grep -nE 'execute_node\(|run_parallel\(' "$runner"; then
+    fail "$runner steps nodes or fans work over the pool: a run is one execute_graph walk"
 fi
 engines=crates/core/src/engine
 for engine in flexible systolic; do
@@ -85,5 +97,10 @@ fi
 if grep -rnE 'CyclePredictor|with_predictor|LayerFeatures|parse_fidelity|ws_metadata_cycles' \
     crates/{core,nn,serve,cluster,cli,verify,stonne} examples tests; then
     fail "one fidelity: cycle counts come from engine accounting walks only"
+fi
+if grep -rnE 'checkpoint_every|resume_from|CHECKPOINT_SCHEMA|stonne-checkpoint/|CheckpointResume|resume_vs_straight|export_json|import_json' \
+    crates/{core,nn,serve,cluster,cli,verify,stonne,bench} examples tests tools .github \
+    --exclude=one-path-guard.sh; then
+    fail "one way to resume: the DiskStore-backed layer cache, not in-run checkpoints"
 fi
 echo "one-path-guard: ok" >&2
